@@ -358,10 +358,11 @@ func BenchmarkStageResonatorBank(b *testing.B) {
 	for i := range x {
 		x[i] = complex(rng.Normal(0, 1), rng.Normal(0, 1))
 	}
+	mag := [][]float64{make([]float64, len(x)), make([]float64, len(x))}
 	b.SetBytes(int64(len(x) * 16))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dsp.ResonatorBank(x, []float64{-0.2, 0.2}, 0.999)
+		dsp.NewResonators([]float64{-0.2, 0.2}, 0.999).Track(dsp.NewEngine(1), x, mag)
 	}
 }
 

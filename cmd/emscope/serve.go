@@ -134,9 +134,10 @@ func chaosPlan(class string) (faults.ChaosConfig, time.Duration, error) {
 // keystrokes), multiplexes all of them over a stream.Daemon worker
 // pool in -chunk-sample chunks through bounded -queue rings, drains
 // gracefully, and scores every stream's finalized output against its
-// ground truth. With -verify it additionally recomputes each stream
-// through the batch pipeline and requires the streamed result to match
-// byte for byte — the CI daemon smoke gate.
+// ground truth. With -verify it additionally reruns each capture as one
+// chunk through the same receiver (covert.Demodulate, keylog.Detect) and
+// requires the chunked stream's result to match byte for byte — the CI
+// daemon smoke gate.
 //
 // With -checkpoint the daemon persists processor state and restores it
 // at startup, so a killed process resumes where it left off; with
@@ -231,7 +232,7 @@ func runServe(prof laptop.Profile, seed int64, distance float64, o serveOptions)
 	d.Drain()
 
 	// Graceful-drain snapshot: the full final telemetry state as
-	// deterministic JSON on stderr — the batch-vs-streamed identity
+	// deterministic JSON on stderr — the chunked-vs-one-chunk identity
 	// checks compare stdout, so the dump must not land there.
 	fmt.Fprintln(os.Stderr, "emscoped: final telemetry snapshot after drain:")
 	if err := telemetry.Capture().WriteJSON(os.Stderr); err != nil {
@@ -254,8 +255,8 @@ func runServe(prof laptop.Profile, seed int64, distance float64, o serveOptions)
 				s.name, res.Measurement, res.Measurement.PayloadOK,
 				fmtBytes(state), fmtBytes(raw), raw/state)
 			if o.verify {
-				batch := covert.Demodulate(s.pc.Cap, s.pc.RXCfg)
-				exit = verdict(s.name, reflect.DeepEqual(demod, batch), exit)
+				whole := covert.Demodulate(s.pc.Cap, s.pc.RXCfg)
+				exit = verdict(s.name, reflect.DeepEqual(demod, whole), exit)
 			}
 		} else {
 			state := s.kd.StateBytes()
@@ -265,8 +266,8 @@ func runServe(prof laptop.Profile, seed int64, distance float64, o serveOptions)
 				s.name, res.Char.Matched, res.Char.Truth, res.Char.TPR, res.Char.FPR,
 				fmtBytes(state), fmtBytes(raw), raw/state)
 			if o.verify {
-				batch := keylog.Detect(s.pk.Cap, s.pk.DetCfg)
-				exit = verdict(s.name, reflect.DeepEqual(det, batch), exit)
+				whole := keylog.Detect(s.pk.Cap, s.pk.DetCfg)
+				exit = verdict(s.name, reflect.DeepEqual(det, whole), exit)
 			}
 		}
 		// A finished stream's checkpoint is stale state — a later run
@@ -284,7 +285,7 @@ func runServe(prof laptop.Profile, seed int64, distance float64, o serveOptions)
 	}
 	if o.verify {
 		if exit == 0 {
-			fmt.Printf("verify: all %d streams byte-identical to the batch pipelines\n", o.streams)
+			fmt.Printf("verify: all %d streams byte-identical to one-chunk receive\n", o.streams)
 		} else {
 			fmt.Println("verify: FAILED")
 		}
@@ -374,10 +375,10 @@ func feedStream(d *stream.Daemon, s *serveStream, o serveOptions, chaos *faults.
 // the exit code.
 func verdict(name string, ok bool, exit int) int {
 	if ok {
-		fmt.Printf("  verify %s: streamed output matches batch byte-for-byte\n", name)
+		fmt.Printf("  verify %s: chunked output matches one chunk byte-for-byte\n", name)
 		return exit
 	}
-	fmt.Fprintf(os.Stderr, "emscope: verify %s: streamed output DIVERGED from batch\n", name)
+	fmt.Fprintf(os.Stderr, "emscope: verify %s: chunked output DIVERGED from one chunk\n", name)
 	return 1
 }
 

@@ -251,8 +251,8 @@ func (tb *Testbed) RunCovert(cfg CovertConfig) *CovertResult {
 // capture exactly as the demodulator would see it (faults applied) plus
 // the receiver config RunCovert would use and the transmitter-side
 // ground truth needed to score the decode. It is the seam between
-// capture production and demodulation that lets the batch path
-// (covert.Demodulate) and the streaming path (stream.CovertReceiver)
+// capture production and demodulation that lets one-chunk receive
+// (covert.Demodulate) and a chunked stream (stream.CovertReceiver)
 // consume the identical capture. The caller owns Cap and must Recycle
 // it; when the transmitter trace came from the cache, Run, Payload, and
 // TXCfg are shared — treat them as read-only.
@@ -294,23 +294,32 @@ func (tb *Testbed) PrepareCovert(cfg CovertConfig) *PreparedCovert {
 		faultSpan.End()
 	}
 
+	return &PreparedCovert{
+		Cap:     cap,
+		RXCfg:   tb.CovertRXConfig(cfg),
+		Run:     tr.run,
+		Payload: tr.payload,
+		TXCfg:   tr.txCfg,
+		Faults:  faultRep,
+	}
+}
+
+// CovertRXConfig returns the receiver config RunCovert would hand the
+// demodulator for this covert config — pure arithmetic over the profile
+// and the transmitter settings, no simulation.
+func (tb *Testbed) CovertRXConfig(cfg CovertConfig) covert.RXConfig {
+	cfg.fill(tb)
+	txCfg := covert.DefaultTXConfig(cfg.SleepPeriod)
 	rxCfg := covert.DefaultRXConfig()
 	rxCfg.ExpectedF0 = tb.Profile.VRM.SwitchingFreqHz
-	rxCfg.MinBitPeriod = tr.txCfg.BitPeriod() / 2
+	rxCfg.MinBitPeriod = txCfg.BitPeriod() / 2
 	rxCfg.Parallelism = cfg.Parallelism
 	rxCfg.Resync = cfg.RXResync
 	rxCfg.CarrierRetries = cfg.RXCarrierRetries
 	if cfg.RXHarmonics > 0 {
 		rxCfg.NumHarmonics = cfg.RXHarmonics
 	}
-	return &PreparedCovert{
-		Cap:     cap,
-		RXCfg:   rxCfg,
-		Run:     tr.run,
-		Payload: tr.payload,
-		TXCfg:   tr.txCfg,
-		Faults:  faultRep,
-	}
+	return rxCfg
 }
 
 // Finish scores a demod produced outside RunCovert — typically a
@@ -438,8 +447,8 @@ func (tb *Testbed) RunKeylog(cfg KeylogConfig) *KeylogResult {
 // PreparedKeylog is the receiver-side input of one keystroke-logging
 // run: the capture as the detector would see it (faults applied), the
 // detector config RunKeylog would use, and the typed ground truth for
-// scoring. Like PreparedCovert, it is the seam that lets the batch
-// detector and the streaming detector consume the identical capture.
+// scoring. Like PreparedCovert, it is the seam that lets one-chunk
+// detection and a chunked stream consume the identical capture.
 // The caller owns Cap and must Recycle it.
 type PreparedKeylog struct {
 	Cap    *sdr.Capture
@@ -502,6 +511,18 @@ func (tb *Testbed) PrepareKeylog(cfg KeylogConfig) *PreparedKeylog {
 		faultSpan.End()
 	}
 
+	return &PreparedKeylog{
+		Cap:    cap,
+		DetCfg: tb.keylogDetectorConfig(cfg),
+		Text:   text,
+		Events: events,
+		Faults: faultRep,
+	}
+}
+
+// keylogDetectorConfig returns the detector config RunKeylog hands the
+// detector for this keylog config.
+func (tb *Testbed) keylogDetectorConfig(cfg KeylogConfig) keylog.DetectorConfig {
 	detCfg := keylog.DefaultDetectorConfig()
 	if cfg.Detector != nil {
 		detCfg = *cfg.Detector
@@ -513,13 +534,7 @@ func (tb *Testbed) PrepareKeylog(cfg KeylogConfig) *PreparedKeylog {
 	if cfg.GapAware {
 		detCfg.GapAware = true
 	}
-	return &PreparedKeylog{
-		Cap:    cap,
-		DetCfg: detCfg,
-		Text:   text,
-		Events: events,
-		Faults: faultRep,
-	}
+	return detCfg
 }
 
 // Finish scores a detection produced outside RunKeylog — typically a

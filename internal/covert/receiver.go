@@ -167,35 +167,34 @@ type Demod struct {
 	Quality Quality
 }
 
-// Carrier is the outcome of the receiver's carrier search: the Eq. (1)
+// carrier is the outcome of the receiver's carrier search: the Eq. (1)
 // frequency set, the spike's robust z-score over the PSD floor, the
-// re-acquisition retries consumed, and whether the gate passed. The
-// field values mirror exactly what Demodulate leaves in a Demod — on a
-// failed search, Offsets and Z still carry the first pass so the caller
+// re-acquisition retries consumed, and whether the gate passed. On a
+// failed search, offsets and z still carry the first pass so the Demod
 // can report how close the capture came.
-type Carrier struct {
-	Offsets []float64
-	Z       float64
-	Retries int
-	Found   bool
+type carrier struct {
+	offsets []float64
+	z       float64
+	retries int
+	found   bool
 }
 
-// SearchCarrier runs the receiver's step-1 carrier search over an
-// already-computed Welch PSD (one value per FFT bin, fftSize ==
-// cfg.FFTSize). It is the seam the streaming receiver shares with
-// Demodulate: both paths make identical gate decisions because both run
-// this exact function over bit-identical PSDs.
-func SearchCarrier(psd []float64, sampleRate, centerFreqHz float64, cfg RXConfig) Carrier {
-	var car Carrier
+// searchCarrier runs the receiver's step-1 carrier search over a Welch
+// PSD (one value per FFT bin, fftSize == cfg.FFTSize). The Welch
+// average shrinks the per-bin noise spread by the square root of the
+// segment count, so even a spike well under twice the floor can be
+// decisive; a robust z-score captures that.
+func searchCarrier(psd []float64, sampleRate, centerFreqHz float64, cfg RXConfig) carrier {
+	var car carrier
 	var spikePower float64
-	car.Offsets, spikePower = selectOffsetsWiden(psd, sampleRate, centerFreqHz, cfg, 0)
+	car.offsets, spikePower = selectOffsetsWiden(psd, sampleRate, centerFreqHz, cfg, 0)
 	floor := dsp.Median(psd)
 	sigma := 1.4826 * dsp.MAD(psd)
 	if sigma <= 0 {
 		return car
 	}
-	car.Z = (spikePower - floor) / sigma
-	if car.Z < cfg.CarrierMinZ {
+	car.z = (spikePower - floor) / sigma
+	if car.z < cfg.CarrierMinZ {
 		// Bounded re-acquisition: a gain step or saturation burst can
 		// smear the spike below the gate on the first look. Each retry
 		// admits more candidate peaks at tighter spacing and relaxes
@@ -205,21 +204,20 @@ func SearchCarrier(psd []float64, sampleRate, centerFreqHz float64, cfg RXConfig
 			offsets, spike := selectOffsetsWiden(psd, sampleRate, centerFreqHz, cfg, r)
 			z := (spike - floor) / sigma
 			if z >= cfg.CarrierMinZ*math.Pow(0.75, float64(r)) {
-				car.Offsets, car.Z, car.Retries = offsets, z, r
-				car.Found = true
+				car.offsets, car.z, car.retries = offsets, z, r
+				car.found = true
 				return car
 			}
 		}
 		return car
 	}
-	car.Found = true
+	car.found = true
 	return car
 }
 
-// AcquisitionDecay returns the resonator decay factor Demodulate
-// derives from the config — the streaming receiver must run its
-// resonators with the identical constant to reproduce the batch trace.
-func AcquisitionDecay(cfg RXConfig, sampleRate float64) float64 {
+// acquisitionDecay is the Eq. (1) resonators' decay factor for the
+// config's tracker time constant.
+func acquisitionDecay(cfg RXConfig, sampleRate float64) float64 {
 	tc := cfg.TrackerTimeConstant
 	if tc == 0 {
 		// A third of the shortest bit period: fast enough to keep bit
@@ -230,65 +228,39 @@ func AcquisitionDecay(cfg RXConfig, sampleRate float64) float64 {
 	return dsp.DecayForTimeConstant(tc.Seconds(), sampleRate)
 }
 
-// Demodulate runs the full §IV-B pipeline over a capture.
+// Demodulate runs the full §IV-B pipeline over a capture: the capture
+// is one chunk pushed through a Receiver. The only decision that needs
+// the whole capture before the first sample is tracked is blind carrier
+// selection — with no ExpectedF0 harmonic in band, a Welch pre-pass
+// picks the Eq. (1) offsets the receiver then tracks.
 func Demodulate(cap *sdr.Capture, cfg RXConfig) *Demod {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	d := &Demod{}
-	if len(cap.IQ) < 4*cfg.FFTSize {
-		return d
+	var offsets []float64
+	if len(hintedOffsets(cfg, cap.SampleRate, cap.CenterFreqHz, cfg.NumHarmonics)) == 0 {
+		psd := dsp.NewEngine(cfg.Parallelism).WelchPSD(cap.IQ, cfg.FFTSize)
+		offsets = searchCarrier(psd, cap.SampleRate, cap.CenterFreqHz, cfg).offsets
 	}
-
-	// 1. Locate the VRM spikes and confirm a carrier is present.
-	// The Welch average shrinks the per-bin noise spread by the square
-	// root of the segment count, so even a spike well under twice the
-	// floor can be decisive; a robust z-score captures that.
-	eng := dsp.NewEngine(cfg.Parallelism)
-	psd := eng.WelchPSD(cap.IQ, cfg.FFTSize)
-	car := SearchCarrier(psd, cap.SampleRate, cap.CenterFreqHz, cfg)
-	d.Offsets = car.Offsets
-	d.Quality.CarrierZ = car.Z
-	d.Quality.Retries = car.Retries
-	if !car.Found {
-		return d
+	r, err := NewReceiver(cfg, cap.SampleRate, cap.CenterFreqHz, offsets)
+	if err != nil {
+		panic(err)
 	}
-	d.CarrierFound = true
-
-	// 2. Acquisition (Eq. 1): per-sample summed spike amplitude,
-	// tracked at the exact spike frequencies.
-	norm := make([]float64, len(d.Offsets))
-	for i, f := range d.Offsets {
-		norm[i] = f / cap.SampleRate
-	}
-	decay := AcquisitionDecay(cfg, cap.SampleRate)
-	y := dsp.ResonatorBank(cap.IQ, norm, decay)
-	d.Y = dsp.DecimateMean(y, cfg.DecimateFactor)
-	d.DT = float64(cfg.DecimateFactor) / cap.SampleRate
-
-	return DemodulateTrace(d, cfg)
+	r.Push(cap.IQ)
+	return r.Finalize()
 }
 
-// DemodulateTrace runs the back half of the §IV-B pipeline — edge
+// demodulateTrace runs the back half of the §IV-B pipeline — edge
 // detection, period estimation, gap filling, per-bit power, and
 // thresholding (steps 3–6) — over a Demod whose acquisition trace is
 // already in place: CarrierFound, Offsets, Quality.{CarrierZ,Retries},
-// Y, and DT must be set. It is the seam the streaming receiver shares
-// with Demodulate: given a bit-identical trace, it produces
-// bit-identical decoded bits, so streaming ≡ batch reduces to proving
-// the traces equal. The Demod is finished in place and returned.
-func DemodulateTrace(d *Demod, cfg RXConfig) *Demod {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
+// Y, and DT must be set. The Demod is finished in place and returned.
+func demodulateTrace(d *Demod, cfg RXConfig) *Demod {
 	eng := dsp.NewEngine(cfg.Parallelism)
 
 	// 3. First-pass edge detection sized by the minimum plausible bit
 	// period (Fig. 5).
-	minPeriod := int(cfg.MinBitPeriod.Seconds() / d.DT)
-	if minPeriod < 2 {
-		minPeriod = 2
-	}
+	minPeriod := minPeriodSamples(cfg, d.DT)
 	starts := detectEdges(d.Y, evenAtLeast(minPeriod/2), minPeriod, cfg, nil)
 	if len(starts) < 3 {
 		d.Conv = eng.Convolve(d.Y, dsp.EdgeKernel(evenAtLeast(minPeriod/2)))
@@ -359,17 +331,14 @@ func DemodulateTrace(d *Demod, cfg RXConfig) *Demod {
 	return d
 }
 
-// HintedOffsets returns the Eq. (1) frequency set the receiver would
-// select at the given re-acquisition widening level using only the
-// cfg.ExpectedF0 hint — no PSD required. ok is false when the receiver
-// would instead fall back to the blind PSD peak search (no hint
-// configured, or no harmonic lands in the usable band): the streaming
-// receiver needs the offsets before the capture ends, so blind
-// selection — which depends on the full capture's PSD — is outside its
-// contract.
-func HintedOffsets(cfg RXConfig, sampleRate, centerFreqHz float64, widen int) ([]float64, bool) {
-	offsets := hintedOffsets(cfg, sampleRate, centerFreqHz, cfg.NumHarmonics+widen)
-	return offsets, len(offsets) > 0
+// minPeriodSamples is the shortest plausible signaling period in
+// acquisition-trace samples, never below 2.
+func minPeriodSamples(cfg RXConfig, dt float64) int {
+	minPeriod := int(cfg.MinBitPeriod.Seconds() / dt)
+	if minPeriod < 2 {
+		minPeriod = 2
+	}
+	return minPeriod
 }
 
 // hintedOffsets collects up to numHarmonics in-band harmonics of the
@@ -489,29 +458,14 @@ func estimatePeriod(distances []float64, dt float64, minPeriod int) int {
 	return int(best)
 }
 
-// EstimatePeriod exposes the receiver's signaling-period estimator (see
-// estimatePeriod) for running trackers outside the package: the
-// streaming receiver re-estimates the period over each window of newly
-// decoded inter-start distances with exactly the estimator the batch
-// path and the Resync gap filler use.
-func EstimatePeriod(distances []float64, dt float64, minPeriod int) int {
-	return estimatePeriod(distances, dt, minPeriod)
-}
-
-// TrackWindow runs the §IV-B2 per-batch statistics over one window of
-// the acquisition trace as a standalone primitive: edge detection with
-// the minimum-period kernel, the period estimate from the inter-start
-// distances, and the fraction of distances within 10% of the period
-// grid (the same confidence Quality.BatchConfidence records). It is the
-// running-tracker form of the Resync path's per-window re-estimation —
-// the streaming receiver calls it on recent trace windows to publish a
-// live period/confidence without waiting for Finalize. edges reports
-// the detected starts; a window with fewer than 3 yields (0, 0, edges).
-func TrackWindow(y []float64, dt float64, cfg RXConfig) (periodS, confidence float64, edges int) {
-	minPeriod := int(cfg.MinBitPeriod.Seconds() / dt)
-	if minPeriod < 2 {
-		minPeriod = 2
-	}
+// trackWindow runs the §IV-B2 per-batch statistics over one window of
+// the acquisition trace: edge detection with the minimum-period kernel,
+// the period estimate from the inter-start distances, and the fraction
+// of distances within 10% of the period grid (the same confidence
+// Quality.BatchConfidence records). edges reports the detected starts;
+// a window with fewer than 3 yields (0, 0, edges).
+func trackWindow(y []float64, dt float64, cfg RXConfig) (periodS, confidence float64, edges int) {
+	minPeriod := minPeriodSamples(cfg, dt)
 	starts := detectEdges(y, evenAtLeast(minPeriod/2), minPeriod, cfg, nil)
 	if len(starts) < 3 {
 		return 0, 0, len(starts)

@@ -116,68 +116,114 @@ func (e Engine) Chunks(n int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// STFT computes the same magnitude spectrogram as the package-level
-// STFT, fanning frames out across the worker pool. Each worker reuses
-// one scratch buffer for all of its frames and writes magnitudes into a
-// single preallocated backing array, so the steady state allocates
-// nothing per frame.
-func (e Engine) STFT(x []complex128, fftSize, hop int, window []float64, sampleRate float64) *Spectrogram {
-	stftValidate(fftSize, hop, window)
-	s := &Spectrogram{FFTSize: fftSize, Hop: hop, SampleRate: sampleRate}
-	frames := 0
-	if len(x) >= fftSize {
-		frames = (len(x)-fftSize)/hop + 1
-	}
-	if frames == 0 {
-		return s
-	}
-	defer engSTFTDur.Start().End()
-	engSTFTFrames.Add(uint64(frames))
-	plan := PlanFFT(fftSize)
-	if FusedKernels() {
-		e.stftFused(s, x, frames, hop, plan, window)
-		return s
-	}
+// each runs fn(buf, k) for every k in [0, n), spreading k across the
+// worker pool (k goes to worker k mod w). Every worker owns one
+// size-sample scratch buffer for all of its calls, so the steady state
+// allocates nothing per frame.
+func (e Engine) each(n, size int, fn func(buf []complex128, k int)) {
 	w := e.workers()
-	if w > frames {
-		w = frames
+	if w > n {
+		w = n
 	}
-	if w == 1 {
-		buf := make([]complex128, fftSize)
-		for f := 0; f < frames; f++ {
-			start := f * hop
-			copy(buf, x[start:start+fftSize])
-			ApplyWindow(buf, window)
-			plan.Transform(buf)
-			s.Mag = append(s.Mag, Magnitudes(buf))
+	worker := func(wk int) {
+		buf := make([]complex128, size)
+		for k := wk; k < n; k += w {
+			fn(buf, k)
 		}
-		return s
 	}
-	flat := make([]float64, frames*fftSize)
-	s.Mag = make([][]float64, frames)
-	for f := range s.Mag {
-		s.Mag[f] = flat[f*fftSize : (f+1)*fftSize : (f+1)*fftSize]
+	if w <= 1 {
+		worker(0)
+		return
 	}
 	var wg sync.WaitGroup
 	for wk := 0; wk < w; wk++ {
 		wg.Add(1)
 		go func(wk int) {
 			defer wg.Done()
-			buf := make([]complex128, fftSize)
-			for f := wk; f < frames; f += w {
-				start := f * hop
-				copy(buf, x[start:start+fftSize])
-				ApplyWindow(buf, window)
-				plan.Transform(buf)
-				row := s.Mag[f]
-				for i, v := range buf {
-					row[i] = cmplx.Abs(v)
-				}
-			}
+			worker(wk)
 		}(wk)
 	}
 	wg.Wait()
+}
+
+// spectrogram wraps frames rows of a flat magnitude array.
+func spectrogram(flat []float64, frames, fftSize, hop int, sampleRate float64) *Spectrogram {
+	s := &Spectrogram{FFTSize: fftSize, Hop: hop, SampleRate: sampleRate}
+	if frames == 0 {
+		return s
+	}
+	s.Mag = make([][]float64, frames)
+	for f := range s.Mag {
+		s.Mag[f] = flat[f*fftSize : (f+1)*fftSize : (f+1)*fftSize]
+	}
 	return s
+}
+
+// frameCount is how many whole frames of fftSize samples, hop apart,
+// fit in n samples.
+func frameCount(n, fftSize, hop int) int {
+	if n < fftSize {
+		return 0
+	}
+	return (n-fftSize)/hop + 1
+}
+
+// STFT computes the same magnitude spectrogram as the package-level
+// STFT, fanning frames out across the worker pool into one
+// preallocated backing array.
+func (e Engine) STFT(x []complex128, fftSize, hop int, window []float64, sampleRate float64) *Spectrogram {
+	stftValidate(fftSize, hop, window)
+	frames := frameCount(len(x), fftSize, hop)
+	flat := make([]float64, frames*fftSize)
+	e.STFTInto(flat, x, hop, window)
+	return spectrogram(flat, frames, fftSize, hop, sampleRate)
+}
+
+// STFTInto writes the magnitude rows of the first len(dst)/len(window)
+// frames of x — frame f starts at sample f*hop — into dst, one row
+// after another; x must hold every one of those frames in full. It is
+// the allocation-free core of STFT for callers that own their row
+// storage, such as a detector fed one chunk at a time.
+//
+// With the fused kernels each frame is gathered (window multiply +
+// bit-reversal permutation in one pass) straight into the paired
+// butterfly stages, and a real-valued input runs the half-spectrum real
+// transform with the magnitude row mirrored. Every variant produces
+// rows bit-identical to the reference copy/window/transform path
+// (DESIGN.md §9), so the rows never depend on the kernel mode, on
+// Parallelism, or on how a signal is split across calls.
+func (e Engine) STFTInto(dst []float64, x []complex128, hop int, window []float64) {
+	fftSize := len(window)
+	stftValidate(fftSize, hop, window)
+	frames := len(dst) / fftSize
+	if frames == 0 {
+		return
+	}
+	x = x[:(frames-1)*hop+fftSize]
+	defer engSTFTDur.Start().End()
+	engSTFTFrames.Add(uint64(frames))
+	plan := PlanFFT(fftSize)
+	fused := FusedKernels()
+	realIn := fused && isRealValued(x)
+	e.each(frames, fftSize, func(buf []complex128, f int) {
+		frame := x[f*hop : f*hop+fftSize]
+		row := dst[f*fftSize : (f+1)*fftSize]
+		switch {
+		case realIn:
+			plan.realHalfComplex(buf, frame, window)
+			mirrorMagRow(row, buf, fftSize)
+			return
+		case fused:
+			plan.windowGather(buf, frame, window, plan.fwd)
+		default:
+			copy(buf, frame)
+			ApplyWindow(buf, window)
+			plan.Transform(buf)
+		}
+		for i, v := range buf {
+			row[i] = cmplx.Abs(v)
+		}
+	})
 }
 
 // stftValidate checks the shared STFT argument contract.
@@ -224,56 +270,6 @@ func mirrorMagRow(row []float64, buf []complex128, n int) {
 	}
 }
 
-// stftFused fills the spectrogram through the fused kernels: each frame
-// is gathered (window multiply + bit-reversal permutation in one pass)
-// straight into the paired butterfly stages, and when the capture is
-// real-valued the half-spectrum real transform runs instead with the
-// magnitude row mirrored. Both variants produce rows bit-identical to
-// the reference path's (DESIGN.md §9), so the spectrogram never depends
-// on the kernel mode or Parallelism.
-func (e Engine) stftFused(s *Spectrogram, x []complex128, frames, hop int, plan *FFTPlan, window []float64) {
-	fftSize := plan.Size()
-	realIn := isRealValued(x)
-	flat := make([]float64, frames*fftSize)
-	s.Mag = make([][]float64, frames)
-	for f := range s.Mag {
-		s.Mag[f] = flat[f*fftSize : (f+1)*fftSize : (f+1)*fftSize]
-	}
-	w := e.workers()
-	if w > frames {
-		w = frames
-	}
-	worker := func(wk int) {
-		buf := make([]complex128, fftSize)
-		for f := wk; f < frames; f += w {
-			frame := x[f*hop : f*hop+fftSize]
-			row := s.Mag[f]
-			if realIn {
-				plan.realHalfComplex(buf, frame, window)
-				mirrorMagRow(row, buf, fftSize)
-				continue
-			}
-			plan.windowGather(buf, frame, window, plan.fwd)
-			for i, v := range buf {
-				row[i] = cmplx.Abs(v)
-			}
-		}
-	}
-	if w == 1 {
-		worker(0)
-		return
-	}
-	var wg sync.WaitGroup
-	for wk := 0; wk < w; wk++ {
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			worker(wk)
-		}(wk)
-	}
-	wg.Wait()
-}
-
 // STFTReal computes the magnitude spectrogram of a real-valued signal —
 // the native shape of the paper's power traces. It is the real-input
 // twin of STFT: with the fused kernels enabled every frame runs the
@@ -283,54 +279,30 @@ func (e Engine) stftFused(s *Spectrogram, x []complex128, frames, hop int, plan 
 // STFT. Both modes produce bit-identical rows.
 func (e Engine) STFTReal(x []float64, fftSize, hop int, window []float64, sampleRate float64) *Spectrogram {
 	if !FusedKernels() {
-		packed := make([]complex128, len(x))
-		for i, v := range x {
-			packed[i] = complex(v, 0)
-		}
-		return e.STFT(packed, fftSize, hop, window, sampleRate)
+		return e.STFT(packReal(x), fftSize, hop, window, sampleRate)
 	}
 	stftValidate(fftSize, hop, window)
-	s := &Spectrogram{FFTSize: fftSize, Hop: hop, SampleRate: sampleRate}
-	frames := 0
-	if len(x) >= fftSize {
-		frames = (len(x)-fftSize)/hop + 1
-	}
-	if frames == 0 {
-		return s
-	}
-	defer engSTFTDur.Start().End()
-	engSTFTFrames.Add(uint64(frames))
-	plan := PlanFFT(fftSize)
+	frames := frameCount(len(x), fftSize, hop)
 	flat := make([]float64, frames*fftSize)
-	s.Mag = make([][]float64, frames)
-	for f := range s.Mag {
-		s.Mag[f] = flat[f*fftSize : (f+1)*fftSize : (f+1)*fftSize]
-	}
-	w := e.workers()
-	if w > frames {
-		w = frames
-	}
-	worker := func(wk int) {
-		buf := make([]complex128, fftSize)
-		for f := wk; f < frames; f += w {
+	if frames > 0 {
+		defer engSTFTDur.Start().End()
+		engSTFTFrames.Add(uint64(frames))
+		plan := PlanFFT(fftSize)
+		e.each(frames, fftSize, func(buf []complex128, f int) {
 			plan.realHalfFloat(buf, x[f*hop:f*hop+fftSize], window)
-			mirrorMagRow(s.Mag[f], buf, fftSize)
-		}
+			mirrorMagRow(flat[f*fftSize:(f+1)*fftSize], buf, fftSize)
+		})
 	}
-	if w == 1 {
-		worker(0)
-		return s
+	return spectrogram(flat, frames, fftSize, hop, sampleRate)
+}
+
+// packReal copies a real signal into a complex buffer.
+func packReal(x []float64) []complex128 {
+	packed := make([]complex128, len(x))
+	for i, v := range x {
+		packed[i] = complex(v, 0)
 	}
-	var wg sync.WaitGroup
-	for wk := 0; wk < w; wk++ {
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			worker(wk)
-		}(wk)
-	}
-	wg.Wait()
-	return s
+	return packed
 }
 
 // welchBatchFactor bounds the scratch memory of the parallel Welch
@@ -338,11 +310,8 @@ func (e Engine) STFTReal(x []float64, fftSize, hop int, window []float64, sample
 // segments before the ordered accumulation drains them.
 const welchBatchFactor = 16
 
-// WelchPSD computes the same power spectral density as the
-// package-level WelchPSD. Segment transforms run on the worker pool;
-// the segment average is then accumulated in segment order, so the
-// output is bit-identical to the serial path for every Parallelism.
-func (e Engine) WelchPSD(x []complex128, fftSize int) []float64 {
+// welchValidate checks the Welch segment length.
+func welchValidate(fftSize int) {
 	if !IsPowerOfTwo(fftSize) {
 		panic(fmt.Sprintf("dsp: WelchPSD fftSize %d not a power of two", fftSize))
 	}
@@ -351,258 +320,167 @@ func (e Engine) WelchPSD(x []complex128, fftSize int) []float64 {
 		// implementation looped forever on it.
 		panic("dsp: WelchPSD fftSize must be >= 2")
 	}
-	window := Hann(fftSize)
-	hop := fftSize / 2
+}
+
+// WelchPSD computes the same power spectral density as the
+// package-level WelchPSD: the segment sum of WelchAccumulate divided by
+// the segment count.
+func (e Engine) WelchPSD(x []complex128, fftSize int) []float64 {
+	welchValidate(fftSize)
 	psd := make([]float64, fftSize)
-	segments := 0
-	if len(x) >= fftSize {
-		segments = (len(x)-fftSize)/hop + 1
-	}
+	averageSegments(psd, e.WelchAccumulate(psd, x, Hann(fftSize)))
+	return psd
+}
+
+// averageSegments turns a Welch segment sum into the average; a signal
+// too short for one segment keeps its all-zero PSD.
+func averageSegments(psd []float64, segments int) {
 	if segments == 0 {
-		return psd
+		return
 	}
+	for i := range psd {
+		psd[i] /= float64(segments)
+	}
+}
+
+// WelchAccumulate adds the power spectrum of every complete windowed
+// segment of x — len(window) samples, starting every len(window)/2 — to
+// sum (len(sum) == len(window)) in segment order, and returns how many
+// segments it added. Segment transforms run on the worker pool; the sum
+// is then accumulated in segment order, so the result is bit-identical
+// at every Parallelism. A caller that feeds one signal in pieces, and
+// carries each piece's incomplete trailing segments into the next
+// call, accumulates exactly the floating-point sum of one call over the
+// whole signal: that is how an incremental receiver reproduces
+// WelchPSD.
+//
+// A real-valued x runs the half-spectrum real transform under the fused
+// kernels and adds each segment's power at bin k to bins k and n-k —
+// the bit-exact mirror, because squares are sign-blind.
+func (e Engine) WelchAccumulate(sum []float64, x []complex128, window []float64) int {
+	fftSize := len(window)
+	welchValidate(fftSize)
+	if len(sum) != fftSize {
+		panic("dsp: WelchAccumulate sum length must equal the window length")
+	}
+	hop := fftSize / 2
+	segments := frameCount(len(x), fftSize, hop)
+	if segments == 0 {
+		return 0
+	}
+	x = x[:(segments-1)*hop+fftSize]
+	plan := PlanFFT(fftSize)
+	fused := FusedKernels()
+	if fused && isRealValued(x) {
+		e.welchSum(sum, segments, fftSize, true, func(buf []complex128, start int) {
+			plan.realHalfComplex(buf, x[start:start+fftSize], window)
+		})
+		return segments
+	}
+	e.welchSum(sum, segments, fftSize, false, func(buf []complex128, start int) {
+		seg := x[start : start+fftSize]
+		if fused {
+			plan.windowGather(buf, seg, window, plan.fwd)
+			return
+		}
+		copy(buf, seg)
+		ApplyWindow(buf, window)
+		plan.Transform(buf)
+	})
+	return segments
+}
+
+// WelchPSDReal computes the Welch PSD of a real-valued signal. With the
+// fused kernels enabled each segment runs the half-spectrum real
+// transform; with them disabled the samples are packed into a complex
+// buffer and handed to the reference WelchPSD. Both modes produce a
+// bit-identical PSD.
+func (e Engine) WelchPSDReal(x []float64, fftSize int) []float64 {
+	if !FusedKernels() {
+		return e.WelchPSD(packReal(x), fftSize)
+	}
+	welchValidate(fftSize)
+	window := Hann(fftSize)
+	psd := make([]float64, fftSize)
+	segments := frameCount(len(x), fftSize, fftSize/2)
+	if segments > 0 {
+		plan := PlanFFT(fftSize)
+		e.welchSum(psd, segments, fftSize, true, func(buf []complex128, start int) {
+			plan.realHalfFloat(buf, x[start:start+fftSize], window)
+		})
+	}
+	averageSegments(psd, segments)
+	return psd
+}
+
+// welchSum runs the Welch segment loop: gather must leave the windowed
+// transform of the segment starting at start in buf (bins [0,
+// fftSize/2] suffice when half is set, the upper bins being their
+// mirror). Segment powers are computed on the worker pool and added to
+// sum strictly in segment order, so the floating-point sum is the
+// serial loop's bit for bit.
+func (e Engine) welchSum(sum []float64, segments, fftSize int, half bool, gather func(buf []complex128, start int)) {
 	defer engWelchDur.Start().End()
 	engWelchSegs.Add(uint64(segments))
-	plan := PlanFFT(fftSize)
-	if FusedKernels() {
-		if isRealValued(x) {
-			e.welchReal(psd, segments, hop, fftSize, func(buf []complex128, start int) {
-				plan.realHalfComplex(buf, x[start:start+fftSize], window)
-			})
-		} else {
-			e.welchFused(psd, x, segments, hop, fftSize, window, plan)
+	hop := fftSize / 2
+	bins := fftSize
+	if half {
+		bins = hop + 1
+	}
+	add := func(row []float64) {
+		for i, v := range row {
+			sum[i] += v
 		}
-		return psd
-	}
-	w := e.workers()
-	if w > segments {
-		w = segments
-	}
-	if w == 1 {
-		buf := make([]complex128, fftSize)
-		for seg := 0; seg < segments; seg++ {
-			copy(buf, x[seg*hop:seg*hop+fftSize])
-			ApplyWindow(buf, window)
-			plan.Transform(buf)
-			for i, v := range buf {
-				re, im := real(v), imag(v)
-				psd[i] += re*re + im*im
+		if half {
+			for i := 1; i < hop; i++ {
+				sum[fftSize-i] += row[i]
 			}
 		}
-		for i := range psd {
-			psd[i] /= float64(segments)
+	}
+	w := e.workers()
+	if w == 1 || segments == 1 {
+		// Serial: each segment's powers go straight into the sum.
+		buf := make([]complex128, fftSize)
+		for k := 0; k < segments; k++ {
+			gather(buf, k*hop)
+			for i := 0; i < bins; i++ {
+				re, im := real(buf[i]), imag(buf[i])
+				sum[i] += re*re + im*im
+			}
+			if half {
+				for i := 1; i < hop; i++ {
+					re, im := real(buf[i]), imag(buf[i])
+					sum[fftSize-i] += re*re + im*im
+				}
+			}
 		}
-		return psd
+		return
 	}
 	batch := w * welchBatchFactor
 	if batch > segments {
 		batch = segments
 	}
-	flat := make([]float64, batch*fftSize)
+	flat := make([]float64, batch*bins)
 	for base := 0; base < segments; base += batch {
 		nb := batch
 		if base+nb > segments {
 			nb = segments - base
 		}
-		var wg sync.WaitGroup
-		for wk := 0; wk < w; wk++ {
-			wg.Add(1)
-			go func(wk int) {
-				defer wg.Done()
-				buf := make([]complex128, fftSize)
-				for k := wk; k < nb; k += w {
-					start := (base + k) * hop
-					copy(buf, x[start:start+fftSize])
-					ApplyWindow(buf, window)
-					plan.Transform(buf)
-					row := flat[k*fftSize : (k+1)*fftSize]
-					for i, v := range buf {
-						re, im := real(v), imag(v)
-						row[i] = re*re + im*im
-					}
-				}
-			}(wk)
-		}
-		wg.Wait()
-		// Ordered accumulation: segment k is always added after
-		// segment k-1, exactly as the serial loop does, so the
-		// floating-point sum is reproduced bit for bit.
+		e.each(nb, fftSize, func(buf []complex128, k int) {
+			gather(buf, (base+k)*hop)
+			power(flat[k*bins:(k+1)*bins], buf)
+		})
 		for k := 0; k < nb; k++ {
-			row := flat[k*fftSize : (k+1)*fftSize]
-			for i := range psd {
-				psd[i] += row[i]
-			}
+			add(flat[k*bins : (k+1)*bins])
 		}
-	}
-	for i := range psd {
-		psd[i] /= float64(segments)
-	}
-	return psd
-}
-
-// WelchPSDReal computes the Welch PSD of a real-valued signal. With the
-// fused kernels enabled each segment runs the half-spectrum real
-// transform and only bins [0, fftSize/2] are accumulated, the upper
-// half being their bit-exact mirror; with them disabled the samples are
-// packed into a complex buffer and handed to the reference WelchPSD.
-// Both modes produce a bit-identical PSD.
-func (e Engine) WelchPSDReal(x []float64, fftSize int) []float64 {
-	if !FusedKernels() {
-		packed := make([]complex128, len(x))
-		for i, v := range x {
-			packed[i] = complex(v, 0)
-		}
-		return e.WelchPSD(packed, fftSize)
-	}
-	if !IsPowerOfTwo(fftSize) {
-		panic(fmt.Sprintf("dsp: WelchPSD fftSize %d not a power of two", fftSize))
-	}
-	if fftSize < 2 {
-		panic("dsp: WelchPSD fftSize must be >= 2")
-	}
-	window := Hann(fftSize)
-	hop := fftSize / 2
-	psd := make([]float64, fftSize)
-	segments := 0
-	if len(x) >= fftSize {
-		segments = (len(x)-fftSize)/hop + 1
-	}
-	if segments == 0 {
-		return psd
-	}
-	defer engWelchDur.Start().End()
-	engWelchSegs.Add(uint64(segments))
-	plan := PlanFFT(fftSize)
-	e.welchReal(psd, segments, hop, fftSize, func(buf []complex128, start int) {
-		plan.realHalfFloat(buf, x[start:start+fftSize], window)
-	})
-	return psd
-}
-
-// welchReal accumulates the Welch average over half-spectrum segment
-// transforms: gather must leave bins [0, fftSize/2] of segment start's
-// windowed transform in buf. Per-segment powers at mirrored bins are
-// bit-identical (squares are sign-blind), and segments accumulate in
-// segment order exactly as the serial reference does, so averaging the
-// half and mirroring at the end reproduces the reference PSD bit for
-// bit at every Parallelism.
-func (e Engine) welchReal(psd []float64, segments, hop, fftSize int, gather func(buf []complex128, start int)) {
-	half := fftSize >> 1
-	halfLen := half + 1
-	w := e.workers()
-	if w > segments {
-		w = segments
-	}
-	if w == 1 {
-		buf := make([]complex128, fftSize)
-		for seg := 0; seg < segments; seg++ {
-			gather(buf, seg*hop)
-			for i := 0; i <= half; i++ {
-				re, im := real(buf[i]), imag(buf[i])
-				psd[i] += re*re + im*im
-			}
-		}
-	} else {
-		batch := w * welchBatchFactor
-		if batch > segments {
-			batch = segments
-		}
-		flat := make([]float64, batch*halfLen)
-		for base := 0; base < segments; base += batch {
-			nb := batch
-			if base+nb > segments {
-				nb = segments - base
-			}
-			var wg sync.WaitGroup
-			for wk := 0; wk < w; wk++ {
-				wg.Add(1)
-				go func(wk int) {
-					defer wg.Done()
-					buf := make([]complex128, fftSize)
-					for k := wk; k < nb; k += w {
-						gather(buf, (base+k)*hop)
-						row := flat[k*halfLen : (k+1)*halfLen]
-						for i := 0; i <= half; i++ {
-							re, im := real(buf[i]), imag(buf[i])
-							row[i] = re*re + im*im
-						}
-					}
-				}(wk)
-			}
-			wg.Wait()
-			for k := 0; k < nb; k++ {
-				row := flat[k*halfLen : (k+1)*halfLen]
-				for i := range row {
-					psd[i] += row[i]
-				}
-			}
-		}
-	}
-	for i := 0; i <= half; i++ {
-		psd[i] /= float64(segments)
-	}
-	for k := 1; k < half; k++ {
-		psd[fftSize-k] = psd[k]
 	}
 }
 
-// welchFused is WelchPSD's fused-kernel path for genuinely complex
-// input: the reference segment loop with the copy/window/transform
-// passes collapsed into one windowGather per segment. Bit-identical to
-// the reference at every Parallelism.
-func (e Engine) welchFused(psd []float64, x []complex128, segments, hop, fftSize int, window []float64, plan *FFTPlan) {
-	w := e.workers()
-	if w > segments {
-		w = segments
-	}
-	if w == 1 {
-		buf := make([]complex128, fftSize)
-		for seg := 0; seg < segments; seg++ {
-			plan.windowGather(buf, x[seg*hop:seg*hop+fftSize], window, plan.fwd)
-			for i, v := range buf {
-				re, im := real(v), imag(v)
-				psd[i] += re*re + im*im
-			}
-		}
-	} else {
-		batch := w * welchBatchFactor
-		if batch > segments {
-			batch = segments
-		}
-		flat := make([]float64, batch*fftSize)
-		for base := 0; base < segments; base += batch {
-			nb := batch
-			if base+nb > segments {
-				nb = segments - base
-			}
-			var wg sync.WaitGroup
-			for wk := 0; wk < w; wk++ {
-				wg.Add(1)
-				go func(wk int) {
-					defer wg.Done()
-					buf := make([]complex128, fftSize)
-					for k := wk; k < nb; k += w {
-						start := (base + k) * hop
-						plan.windowGather(buf, x[start:start+fftSize], window, plan.fwd)
-						row := flat[k*fftSize : (k+1)*fftSize]
-						for i, v := range buf {
-							re, im := real(v), imag(v)
-							row[i] = re*re + im*im
-						}
-					}
-				}(wk)
-			}
-			wg.Wait()
-			for k := 0; k < nb; k++ {
-				row := flat[k*fftSize : (k+1)*fftSize]
-				for i := range psd {
-					psd[i] += row[i]
-				}
-			}
-		}
-	}
-	for i := range psd {
-		psd[i] /= float64(segments)
+// power writes |buf[i]|² to row[i] for every bin of row.
+func power(row []float64, buf []complex128) {
+	for i := range row {
+		re, im := real(buf[i]), imag(buf[i])
+		row[i] = re*re + im*im
 	}
 }
 

@@ -5,43 +5,64 @@ import (
 	"math/cmplx"
 )
 
-// ResonatorBank tracks the amplitude of a set of narrowband components
-// at exact (not bin-quantized) baseband frequencies. Each component is
+// Resonators tracks the amplitude of a set of narrowband components at
+// exact (not bin-quantized) baseband frequencies. Each component is
 // followed by a single-pole complex resonator — an exponentially
 // weighted sliding DFT:
 //
 //	z[n] = decay * e^{i·2π·f/fs} * z[n-1] + x[n]
 //
-// whose magnitude, scaled by (1-decay), estimates the component's
-// amplitude with a time constant of 1/(1-decay) samples and an effective
-// bandwidth of roughly (1-decay)·fs/π Hz.
+// whose magnitude, scaled by Gain = 1-decay, estimates the component's
+// amplitude with a time constant of 1/(1-decay) samples and an
+// effective bandwidth of roughly (1-decay)·fs/π Hz.
 //
-// The receiver uses it as the practical form of the paper's Eq. (1):
-// summing the tracked magnitudes of the VRM spike set S gives the
-// per-sample acquisition trace Y[n] without FFT-grid scalloping loss.
-//
-// offsets are the component frequencies normalized by the sample rate
-// (f/fs, may be negative); decay must be in (0, 1).
-func ResonatorBank(x []complex128, offsets []float64, decay float64) []float64 {
+// The covert receiver uses it as the practical form of the paper's
+// Eq. (1): summing the tracked magnitudes of the VRM spike set S gives
+// the per-sample acquisition trace Y[n] without FFT-grid scalloping
+// loss. The bank carries its state between Track calls, so a signal
+// fed in pieces is tracked exactly as in one call.
+type Resonators struct {
+	rot []complex128
+	// Z is the resonators' complex state, one per component.
+	Z []complex128
+	// Gain scales a tracked magnitude to the component amplitude.
+	Gain float64
+}
+
+// NewResonators returns a bank at rest. offsets are the component
+// frequencies normalized by the sample rate (f/fs, may be negative);
+// decay must be in (0, 1).
+func NewResonators(offsets []float64, decay float64) *Resonators {
 	if decay <= 0 || decay >= 1 {
-		panic("dsp: ResonatorBank decay must be in (0,1)")
+		panic("dsp: resonator decay must be in (0,1)")
 	}
-	rot := make([]complex128, len(offsets))
+	b := &Resonators{
+		rot:  make([]complex128, len(offsets)),
+		Z:    make([]complex128, len(offsets)),
+		Gain: 1 - decay,
+	}
 	for i, f := range offsets {
-		rot[i] = cmplx.Exp(complex(0, 2*math.Pi*f)) * complex(decay, 0)
+		b.rot[i] = cmplx.Exp(complex(0, 2*math.Pi*f)) * complex(decay, 0)
 	}
-	z := make([]complex128, len(offsets))
-	out := make([]float64, len(x))
-	gain := 1 - decay
-	for n, v := range x {
-		var sum float64
-		for i := range z {
-			z[i] = z[i]*rot[i] + v
-			sum += cmplx.Abs(z[i])
+	return b
+}
+
+// Track advances every resonator over x and writes component i's
+// unscaled magnitude |z_i[n]| to mag[i][n]. Components are independent,
+// so eng spreads them across its workers; each component's recurrence
+// stays sequential, so mag is identical at every Parallelism. A worker
+// steps its components together sample by sample, which overlaps their
+// otherwise latency-bound recurrences.
+func (b *Resonators) Track(eng Engine, x []complex128, mag [][]float64) {
+	eng.Chunks(len(b.rot), func(lo, hi int) {
+		rot, z, out := b.rot[lo:hi], b.Z[lo:hi], mag[lo:hi]
+		for n, v := range x {
+			for i := range z {
+				z[i] = z[i]*rot[i] + v
+				out[i][n] = cmplx.Abs(z[i])
+			}
 		}
-		out[n] = sum * gain
-	}
-	return out
+	})
 }
 
 // ResonatorBandwidth returns the approximate -3 dB bandwidth (Hz) of a

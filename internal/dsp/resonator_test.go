@@ -16,10 +16,75 @@ func resTone(n int, f, amp float64) []complex128 {
 	return x
 }
 
+// resonate runs x through a fresh bank and returns the gain-scaled sum
+// of the tracked magnitudes: the Eq. (1) acquisition trace.
+func resonate(x []complex128, offsets []float64, decay float64) []float64 {
+	b := NewResonators(offsets, decay)
+	mag := make([][]float64, len(offsets))
+	for i := range mag {
+		mag[i] = make([]float64, len(x))
+	}
+	b.Track(Engine{Parallelism: 1}, x, mag)
+	out := make([]float64, len(x))
+	for n := range out {
+		var sum float64
+		for i := range mag {
+			sum += mag[i][n]
+		}
+		out[n] = sum * b.Gain
+	}
+	return out
+}
+
+// TestResonatorsPiecewiseAndParallel: the bank carries its state
+// between calls and spreads components over workers without changing a
+// bit — tracking in uneven pieces at any Parallelism equals one serial
+// call.
+func TestResonatorsPiecewiseAndParallel(t *testing.T) {
+	rng := xrand.New(41)
+	x := make([]complex128, 5000)
+	for i := range x {
+		x[i] = complex(rng.Normal(0, 1), rng.Normal(0, 1))
+	}
+	offsets := []float64{0.1, -0.2, 0.33}
+	want := NewResonators(offsets, 0.995)
+	wantMag := make([][]float64, len(offsets))
+	for i := range wantMag {
+		wantMag[i] = make([]float64, len(x))
+	}
+	want.Track(Engine{Parallelism: 1}, x, wantMag)
+	for _, p := range []int{1, 2, 4} {
+		b := NewResonators(offsets, 0.995)
+		mag := make([][]float64, len(offsets))
+		for i := range mag {
+			mag[i] = make([]float64, len(x))
+		}
+		for lo := 0; lo < len(x); {
+			hi := lo + 1 + lo%777
+			if hi > len(x) {
+				hi = len(x)
+			}
+			part := make([][]float64, len(offsets))
+			for i := range part {
+				part[i] = mag[i][lo:hi]
+			}
+			b.Track(Engine{Parallelism: p}, x[lo:hi], part)
+			lo = hi
+		}
+		for i := range mag {
+			for n := range mag[i] {
+				if math.Float64bits(mag[i][n]) != math.Float64bits(wantMag[i][n]) {
+					t.Fatalf("parallelism %d: component %d sample %d = %v, want %v", p, i, n, mag[i][n], wantMag[i][n])
+				}
+			}
+		}
+	}
+}
+
 func TestResonatorTracksOnFrequencyTone(t *testing.T) {
 	const f = 0.123 // normalized
 	x := resTone(20000, f, 2.5)
-	y := ResonatorBank(x, []float64{f}, 0.995)
+	y := resonate(x, []float64{f}, 0.995)
 	// After several time constants the output settles at the amplitude.
 	settled := y[10000:]
 	if m := Mean(settled); math.Abs(m-2.5) > 0.05 {
@@ -33,7 +98,7 @@ func TestResonatorTracksOffGridFrequency(t *testing.T) {
 	const m = 256
 	f := (41.5) / float64(m) // half-bin offset for an m-point DFT
 	x := resTone(20000, f, 1.0)
-	y := ResonatorBank(x, []float64{f}, 0.995)
+	y := resonate(x, []float64{f}, 0.995)
 	if got := Mean(y[10000:]); math.Abs(got-1.0) > 0.03 {
 		t.Fatalf("off-grid amplitude = %v, want 1.0", got)
 	}
@@ -42,7 +107,7 @@ func TestResonatorTracksOffGridFrequency(t *testing.T) {
 func TestResonatorRejectsDistantTone(t *testing.T) {
 	const fTone, fTrack = 0.2, 0.3
 	x := resTone(20000, fTone, 1.0)
-	y := ResonatorBank(x, []float64{fTrack}, 0.995)
+	y := resonate(x, []float64{fTrack}, 0.995)
 	if got := Mean(y[10000:]); got > 0.05 {
 		t.Fatalf("distant tone leaked: %v", got)
 	}
@@ -52,7 +117,7 @@ func TestResonatorStepResponseTimeConstant(t *testing.T) {
 	const f = 0.1
 	const decay = 0.99 // time constant 100 samples
 	x := resTone(2000, f, 1.0)
-	y := ResonatorBank(x, []float64{f}, decay)
+	y := resonate(x, []float64{f}, decay)
 	// At one time constant the response is ~1-1/e of final.
 	if y[100] < 0.55 || y[100] > 0.72 {
 		t.Fatalf("response at tau = %v, want ~0.63", y[100])
@@ -68,7 +133,7 @@ func TestResonatorSumsMultipleComponents(t *testing.T) {
 	for i := range x {
 		x[i] += x2[i]
 	}
-	y := ResonatorBank(x, []float64{0.1, -0.2}, 0.995)
+	y := resonate(x, []float64{0.1, -0.2}, 0.995)
 	if got := Mean(y[10000:]); math.Abs(got-1.5) > 0.05 {
 		t.Fatalf("summed amplitude = %v, want 1.5", got)
 	}
@@ -86,7 +151,7 @@ func TestResonatorTracksAmplitudeModulation(t *testing.T) {
 		}
 		x[i] = complex(amp, 0) * cmplx.Exp(complex(0, 2*math.Pi*f*float64(i)))
 	}
-	y := ResonatorBank(x, []float64{f}, 0.998) // tau = 500 samples
+	y := resonate(x, []float64{f}, 0.998) // tau = 500 samples
 	on := Mean(y[3000:5000])
 	off := Mean(y[8000:10000])
 	if off > on/10 {
@@ -102,7 +167,7 @@ func TestResonatorBadDecayPanics(t *testing.T) {
 					t.Errorf("decay %v accepted", d)
 				}
 			}()
-			ResonatorBank(nil, []float64{0.1}, d)
+			NewResonators([]float64{0.1}, d)
 		}()
 	}
 }
@@ -114,8 +179,8 @@ func TestResonatorNoiseFloorScales(t *testing.T) {
 		x[i] = complex(rng.Normal(0, 1), rng.Normal(0, 1))
 	}
 	// Narrower resonator (higher decay) -> lower noise output.
-	wide := Mean(ResonatorBank(x, []float64{0.1}, 0.99)[10000:])
-	narrow := Mean(ResonatorBank(x, []float64{0.1}, 0.999)[10000:])
+	wide := Mean(resonate(x, []float64{0.1}, 0.99)[10000:])
+	narrow := Mean(resonate(x, []float64{0.1}, 0.999)[10000:])
 	if narrow >= wide {
 		t.Fatalf("narrowband noise %v not below wideband %v", narrow, wide)
 	}

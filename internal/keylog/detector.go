@@ -109,48 +109,10 @@ type Detection struct {
 	Threshold float64
 }
 
-// Geometry is the derived STFT/tracking geometry of one detector run —
-// everything the streaming detector needs to frame samples and schedule
-// block re-acquisitions before it has seen any data.
-type Geometry struct {
-	// FFTSize is the non-overlapping STFT frame length in samples
-	// (NextPowerOfTwo of the configured window).
-	FFTSize int
-	// FrameDT is seconds per STFT frame.
-	FrameDT float64
-	// BlockFrames is the re-acquisition block length in frames; 0 means
-	// a single global block spanning the whole capture (TrackBlock
-	// unset), which only the batch path can realize.
-	BlockFrames int
-	// SearchBins is the half-width of the per-block spike search.
-	SearchBins int
-}
-
-// PlanGeometry derives the detector geometry for a sample rate. ok is
-// false when the configured window rounds to zero samples at this rate
-// — the batch path returns an empty Detection for such captures, and a
-// streaming detector has nothing to frame.
-func PlanGeometry(cfg DetectorConfig, sampleRate float64) (g Geometry, ok bool) {
-	windowSamples := int(cfg.Window.Seconds() * sampleRate)
-	if windowSamples < 1 {
-		return g, false
-	}
-	g.FFTSize = dsp.NextPowerOfTwo(windowSamples)
-	g.FrameDT = float64(g.FFTSize) / sampleRate
-	if cfg.TrackBlock > 0 {
-		g.BlockFrames = int(cfg.TrackBlock.Seconds() / g.FrameDT)
-		if g.BlockFrames < 1 {
-			g.BlockFrames = 1
-		}
-	}
-	g.SearchBins = DriftSearchBins(g.FFTSize, sampleRate)
-	return g, true
-}
-
-// DriftSearchBins is the half-width, in bins, of the per-block spike
+// driftSearchBins is the half-width, in bins, of the per-block spike
 // re-acquisition search: ±25 kHz — the drift between blocks is small,
 // but the initial hint may be a few kHz off — and never less than ±2.
-func DriftSearchBins(fftSize int, sampleRate float64) int {
+func driftSearchBins(fftSize int, sampleRate float64) int {
 	searchBins := int(25e3 * float64(fftSize) / sampleRate)
 	if searchBins < 2 {
 		searchBins = 2
@@ -158,15 +120,13 @@ func DriftSearchBins(fftSize int, sampleRate float64) int {
 	return searchBins
 }
 
-// ScanBlock runs one block of the §V-C band tracker: re-acquire the
+// scanBlock runs one block of the §V-C band tracker: re-acquire the
 // spike bin by searching ±searchBins around center over the block's
 // mean spectrum (skipping the receiver's DC bin), then write each
 // frame's BandBins-wide band energy into out. mag holds the block's
-// STFT magnitude rows and out must have the same length. Returns the
-// re-acquired center for the next block. The batch detector and the
-// streaming detector both express their block loop through this
-// function, which is what keeps their Band traces byte-identical.
-func ScanBlock(mag [][]float64, out []float64, center, fftSize, searchBins, bandBins int) int {
+// STFT magnitude rows back to back, fftSize each, and out has one slot
+// per row. Returns the re-acquired center for the next block.
+func scanBlock(mag, out []float64, center, fftSize, searchBins, bandBins int) int {
 	// Mean spectrum of the block, searched near the last center.
 	best, bestVal := center, -1.0
 	for d := -searchBins; d <= searchBins; d++ {
@@ -175,8 +135,8 @@ func ScanBlock(mag [][]float64, out []float64, center, fftSize, searchBins, band
 			continue // skip the receiver's DC spike
 		}
 		var sum float64
-		for _, row := range mag {
-			sum += row[b]
+		for r := b; r < len(mag); r += fftSize {
+			sum += mag[r]
 		}
 		if sum > bestVal {
 			best, bestVal = b, sum
@@ -187,7 +147,8 @@ func ScanBlock(mag [][]float64, out []float64, center, fftSize, searchBins, band
 	for i := -(bandBins - 1) / 2; len(bins) < bandBins; i++ {
 		bins = append(bins, (center+i+fftSize)%fftSize)
 	}
-	for f, row := range mag {
+	for f := range out {
+		row := mag[f*fftSize : (f+1)*fftSize]
 		var sum float64
 		for _, b := range bins {
 			sum += row[b]
@@ -197,13 +158,13 @@ func ScanBlock(mag [][]float64, out []float64, center, fftSize, searchBins, band
 	return center
 }
 
-// FinishDetection runs the global tail of the detector over a complete
+// finishDetection runs the global tail of the detector over a complete
 // band trace: optional per-block gain normalization (GapAware), global
 // normalization, the bimodal threshold, and the merge/duration interval
 // passes. It takes ownership of band (the returned Detection aliases
 // and mutates it). blockFrames is the per-block normalization width for
-// GapAware; pass the full trace length when tracking is off.
-func FinishDetection(band []float64, frameDT float64, blockFrames int, cfg DetectorConfig) *Detection {
+// GapAware.
+func finishDetection(band []float64, frameDT float64, blockFrames int, cfg DetectorConfig) *Detection {
 	det := &Detection{Band: band, FrameDT: frameDT}
 	if cfg.GapAware {
 		normalizeBlocks(det.Band, blockFrames)
@@ -239,56 +200,17 @@ func FinishDetection(band []float64, frameDT float64, blockFrames int, cfg Detec
 	return det
 }
 
-// Detect runs the §V-C detector: STFT with non-overlapping ~5 ms
+// Detect runs the §V-C detector — STFT with non-overlapping ~5 ms
 // windows, band selection around the PMU spike, thresholding, a merge
-// pass, and the minimum-duration filter.
+// pass, and the minimum-duration filter — as one Push of the whole
+// capture through a Detector.
 func Detect(cap *sdr.Capture, cfg DetectorConfig) *Detection {
-	if err := cfg.Validate(); err != nil {
+	d, err := NewDetector(cfg, cap.SampleRate, cap.CenterFreqHz)
+	if err != nil {
 		panic(err)
 	}
-	g, ok := PlanGeometry(cfg, cap.SampleRate)
-	if !ok {
-		// The STFT window rounds to zero samples (NextPowerOfTwo would
-		// panic): the capture cannot resolve the configured window, so
-		// there is nothing to detect.
-		return &Detection{}
-	}
-	if g.FFTSize > len(cap.IQ) {
-		return &Detection{}
-	}
-	// Non-overlapping windows: hop = fftSize.
-	s := dsp.NewEngine(cfg.Parallelism).STFT(cap.IQ, g.FFTSize, g.FFTSize, dsp.Hann(g.FFTSize), cap.SampleRate)
-
-	// Band selection: start around the expected spike (or the
-	// strongest non-DC peak), then re-acquire per block so the band
-	// follows the VRM clock's slow thermal drift.
-	var center int
-	if cfg.ExpectedF0 > 0 {
-		center = s.Bin(cfg.ExpectedF0 - cap.CenterFreqHz)
-	} else {
-		mean := make([]float64, g.FFTSize)
-		for _, row := range s.Mag {
-			for i, v := range row {
-				mean[i] += v
-			}
-		}
-		mean[0] = 0
-		_, center = dsp.Max(mean)
-	}
-	blockFrames := g.BlockFrames
-	if blockFrames == 0 {
-		blockFrames = s.Frames()
-	}
-	band := make([]float64, s.Frames())
-	for blockStart := 0; blockStart < s.Frames(); blockStart += blockFrames {
-		blockEnd := blockStart + blockFrames
-		if blockEnd > s.Frames() {
-			blockEnd = s.Frames()
-		}
-		center = ScanBlock(s.Mag[blockStart:blockEnd], band[blockStart:blockEnd],
-			center, g.FFTSize, g.SearchBins, cfg.BandBins)
-	}
-	return FinishDetection(band, g.FrameDT, blockFrames, cfg)
+	d.Push(cap.IQ)
+	return d.Finalize()
 }
 
 // normalizeBlocks rescales each blockFrames-wide stretch of the band

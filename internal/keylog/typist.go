@@ -194,10 +194,3 @@ func RandomWords(n int, rng *xrand.Source) string {
 	}
 	return sb.String()
 }
-
-func min(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -1,37 +1,18 @@
 package stream
 
-// Checkpoint/restore for the stream processors — the piece that extends
-// the repo's determinism contract across process death. A processor's
-// carried state is already compact by construction (the whole point of
-// streaming: O(FFTSize + n/DecimateFactor) floats, never raw IQ), so a
-// checkpoint is a versioned binary serialization of exactly that state
-// plus the consumed-sample count. Restoring it into a freshly
+// Checkpoint files for the daemon's stream processors — the piece that
+// extends the repo's determinism contract across process death. A
+// processor's carried state is compact by construction (never raw IQ),
+// and both receivers serialize it as an EMCK v1 checkpoint (package
+// ckpt) plus the consumed-sample count. Restoring it into a freshly
 // constructed processor and replaying the capture from Consumed()
 // onward finishes byte-identical to an uninterrupted run: float bits
-// round-trip exactly through math.Float64bits, and both processors are
-// chunk-size-invariant (the differential tests), so the resumed chunk
-// boundaries need not match the original ones.
-//
-// Wire format (little endian):
-//
-//	magic   [4]byte  "EMCK"
-//	version uint16   (currently 1)
-//	kind    uint8    (1 = covert receiver, 2 = keylog detector)
-//	flags   uint8    (reserved, must be 0)
-//	paylen  uint64   payload byte count
-//	digest  uint64   FNV-64a over the payload bytes
-//	payload [paylen]byte
-//
-// Decode is defensive end to end: a truncated, corrupted, or
-// wrong-kind checkpoint returns an error — never a panic and never a
-// silently wrong restore (the digest catches bit flips the structural
-// checks cannot). FuzzCheckpointDecode pins that contract.
+// round-trip exactly, and both receivers are chunk-size-invariant, so
+// the resumed chunk boundaries need not match the original ones.
+// Restoring a truncated, corrupted, or wrong-kind checkpoint returns an
+// error, never a panic; FuzzCheckpointDecode pins that contract.
 
 import (
-	"encoding/binary"
-	"fmt"
-	"hash/fnv"
-	"math"
 	"os"
 	"path/filepath"
 
@@ -45,9 +26,9 @@ var (
 )
 
 // Checkpointer is a Processor whose carried state can be serialized and
-// restored. Both stream processors implement it. RestoreState must be
-// called on a freshly constructed processor built from the same config
-// and tuning as the one that produced the checkpoint; the byte-identity
+// restored. Both receivers implement it. RestoreState must be called on
+// a freshly constructed processor built from the same config and
+// tuning as the one that produced the checkpoint; the byte-identity
 // guarantee only holds under that pairing (the checkpoint carries the
 // mutable state, the constructor re-derives everything else).
 type Checkpointer interface {
@@ -57,415 +38,13 @@ type Checkpointer interface {
 	EncodeState() []byte
 	// RestoreState replaces a fresh processor's state with a previously
 	// encoded one. It returns an error — never panics — on corrupted,
-	// truncated, or mismatched input, leaving the processor unusable
-	// only if it reports success was impossible (the processor is
-	// untouched on any header or digest failure).
+	// truncated, or mismatched input, and leaves the processor
+	// untouched when it does.
 	RestoreState(data []byte) error
 	// Consumed returns how many samples the processor has absorbed —
 	// the offset a resuming producer must continue from.
 	Consumed() int
 }
-
-const (
-	ckptVersion = 1
-
-	ckptKindCovert uint8 = 1
-	ckptKindKeylog uint8 = 2
-
-	ckptHeaderLen = 4 + 2 + 1 + 1 + 8 + 8
-)
-
-var ckptMagic = [4]byte{'E', 'M', 'C', 'K'}
-
-// sealCheckpoint wraps a payload in the versioned header.
-func sealCheckpoint(kind uint8, payload []byte) []byte {
-	out := make([]byte, ckptHeaderLen+len(payload))
-	copy(out, ckptMagic[:])
-	binary.LittleEndian.PutUint16(out[4:], ckptVersion)
-	out[6] = kind
-	out[7] = 0
-	binary.LittleEndian.PutUint64(out[8:], uint64(len(payload)))
-	h := fnv.New64a()
-	h.Write(payload)
-	binary.LittleEndian.PutUint64(out[16:], h.Sum64())
-	copy(out[ckptHeaderLen:], payload)
-	return out
-}
-
-// openCheckpoint validates the header and digest and returns the
-// payload.
-func openCheckpoint(kind uint8, data []byte) ([]byte, error) {
-	if len(data) < ckptHeaderLen {
-		return nil, fmt.Errorf("stream: checkpoint truncated: %d bytes, header needs %d", len(data), ckptHeaderLen)
-	}
-	if [4]byte(data[:4]) != ckptMagic {
-		return nil, fmt.Errorf("stream: checkpoint magic %q is not %q", data[:4], ckptMagic[:])
-	}
-	if v := binary.LittleEndian.Uint16(data[4:]); v != ckptVersion {
-		return nil, fmt.Errorf("stream: checkpoint version %d unsupported (want %d)", v, ckptVersion)
-	}
-	if data[6] != kind {
-		return nil, fmt.Errorf("stream: checkpoint kind %d does not match processor kind %d", data[6], kind)
-	}
-	if data[7] != 0 {
-		return nil, fmt.Errorf("stream: checkpoint flags %#x unsupported", data[7])
-	}
-	paylen := binary.LittleEndian.Uint64(data[8:])
-	if paylen != uint64(len(data)-ckptHeaderLen) {
-		return nil, fmt.Errorf("stream: checkpoint payload length %d does not match %d trailing bytes", paylen, len(data)-ckptHeaderLen)
-	}
-	payload := data[ckptHeaderLen:]
-	h := fnv.New64a()
-	h.Write(payload)
-	if got, want := h.Sum64(), binary.LittleEndian.Uint64(data[16:]); got != want {
-		return nil, fmt.Errorf("stream: checkpoint digest mismatch: payload hashes to %#x, header says %#x", got, want)
-	}
-	return payload, nil
-}
-
-// ckptEnc appends fixed-width little-endian fields to a payload.
-type ckptEnc struct{ b []byte }
-
-func (e *ckptEnc) u64(v uint64)      { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *ckptEnc) i64(v int)         { e.u64(uint64(int64(v))) }
-func (e *ckptEnc) f64(v float64)     { e.u64(math.Float64bits(v)) }
-func (e *ckptEnc) c128(v complex128) { e.f64(real(v)); e.f64(imag(v)) }
-
-func (e *ckptEnc) f64s(v []float64) {
-	e.u64(uint64(len(v)))
-	for _, x := range v {
-		e.f64(x)
-	}
-}
-
-func (e *ckptEnc) c128s(v []complex128) {
-	e.u64(uint64(len(v)))
-	for _, x := range v {
-		e.c128(x)
-	}
-}
-
-// ckptDec is the error-latching cursor over a payload. Every accessor
-// becomes a no-op returning zero after the first failure, so decoders
-// read straight through and check err once.
-type ckptDec struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *ckptDec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("stream: checkpoint payload: "+format, args...)
-	}
-}
-
-func (d *ckptDec) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off+8 > len(d.b) {
-		d.fail("truncated at offset %d", d.off)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *ckptDec) i64() int {
-	v := int64(d.u64())
-	if d.err == nil && (v > math.MaxInt32 || v < math.MinInt32) {
-		// Every integer in a processor's state is a sample, frame, or
-		// bin count; anything outside int32 range is corruption, and
-		// catching it here keeps later make() calls sane on 32-bit.
-		d.fail("integer field %d out of plausible range", v)
-		return 0
-	}
-	return int(v)
-}
-
-func (d *ckptDec) f64() float64     { return math.Float64frombits(d.u64()) }
-func (d *ckptDec) c128() complex128 { return complex(d.f64(), d.f64()) }
-
-// sliceLen reads a length prefix and bounds it by the bytes that remain
-// (elemSize bytes per element), so corrupted prefixes cannot drive huge
-// allocations.
-func (d *ckptDec) sliceLen(elemSize int) int {
-	n := d.u64()
-	if d.err != nil {
-		return 0
-	}
-	if max := uint64(len(d.b)-d.off) / uint64(elemSize); n > max {
-		d.fail("slice length %d exceeds the %d elements the remaining bytes can hold", n, max)
-		return 0
-	}
-	return int(n)
-}
-
-func (d *ckptDec) f64s() []float64 {
-	n := d.sliceLen(8)
-	if d.err != nil {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.f64()
-	}
-	return out
-}
-
-func (d *ckptDec) c128s() []complex128 {
-	n := d.sliceLen(16)
-	if d.err != nil {
-		return nil
-	}
-	out := make([]complex128, n)
-	for i := range out {
-		out[i] = d.c128()
-	}
-	return out
-}
-
-// finish asserts the payload was consumed exactly.
-func (d *ckptDec) finish() error {
-	if d.err != nil {
-		return d.err
-	}
-	if d.off != len(d.b) {
-		return fmt.Errorf("stream: checkpoint payload: %d trailing bytes after decode", len(d.b)-d.off)
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------
-// CovertReceiver.
-
-// Consumed returns the number of IQ samples pushed so far.
-func (c *CovertReceiver) Consumed() int { return c.total }
-
-// EncodeState serializes the receiver's carried state: the pending
-// Welch segment, the PSD accumulator, the resonator bank's complex
-// state, every widen level's decimation carry and trace, and the
-// running tracker. Everything else (plans, windows, rotation tables) is
-// re-derived by NewCovertReceiver from the config.
-func (c *CovertReceiver) EncodeState() []byte {
-	var e ckptEnc
-	e.i64(c.total)
-	e.i64(c.segments)
-	e.c128s(c.seg)
-	e.f64s(c.psdSum)
-	e.c128s(c.z)
-	e.u64(uint64(len(c.levels)))
-	for i := range c.levels {
-		lv := &c.levels[i]
-		e.f64(lv.sum)
-		e.i64(lv.count)
-		e.f64s(lv.y)
-	}
-	e.i64(c.nextTrack)
-	e.f64(c.periodS)
-	e.f64(c.confidence)
-	e.i64(c.edges)
-	return sealCheckpoint(ckptKindCovert, e.b)
-}
-
-// RestoreState loads a checkpoint produced by EncodeState into a fresh
-// receiver constructed with the same config and tuning. Structural
-// invariants are checked against the constructed geometry, so a
-// checkpoint from a different config errors instead of corrupting the
-// stream.
-func (c *CovertReceiver) RestoreState(data []byte) error {
-	if c.finalized {
-		return fmt.Errorf("stream: RestoreState after Finalize")
-	}
-	if c.total != 0 || c.segments != 0 {
-		return fmt.Errorf("stream: RestoreState requires a freshly constructed receiver (this one has consumed %d samples)", c.total)
-	}
-	payload, err := openCheckpoint(ckptKindCovert, data)
-	if err != nil {
-		return err
-	}
-	d := &ckptDec{b: payload}
-	total := d.i64()
-	segments := d.i64()
-	seg := d.c128s()
-	psdSum := d.f64s()
-	z := d.c128s()
-	nLevels := d.sliceLen(8 + 8 + 8) // lower bound: sum+count+len per level
-	type levelState struct {
-		sum   float64
-		count int
-		y     []float64
-	}
-	levels := make([]levelState, 0, nLevels)
-	for i := 0; i < nLevels && d.err == nil; i++ {
-		var lv levelState
-		lv.sum = d.f64()
-		lv.count = d.i64()
-		lv.y = d.f64s()
-		levels = append(levels, lv)
-	}
-	nextTrack := d.i64()
-	periodS := d.f64()
-	confidence := d.f64()
-	edges := d.i64()
-	if err := d.finish(); err != nil {
-		return err
-	}
-
-	switch {
-	case total < 0 || segments < 0 || edges < 0:
-		return fmt.Errorf("stream: checkpoint has negative counters (total %d, segments %d, edges %d)", total, segments, edges)
-	case len(seg) >= c.fftSize:
-		return fmt.Errorf("stream: checkpoint pending segment holds %d samples, receiver FFT size is %d", len(seg), c.fftSize)
-	case len(psdSum) != c.fftSize:
-		return fmt.Errorf("stream: checkpoint PSD has %d bins, receiver FFT size is %d", len(psdSum), c.fftSize)
-	case len(z) != len(c.rot):
-		return fmt.Errorf("stream: checkpoint resonator bank has %d states, receiver has %d offsets", len(z), len(c.rot))
-	case len(levels) != len(c.levels):
-		return fmt.Errorf("stream: checkpoint has %d widen levels, receiver has %d", len(levels), len(c.levels))
-	case nextTrack < c.trackStride || nextTrack%c.trackStride != 0:
-		return fmt.Errorf("stream: checkpoint tracker cursor %d is not a positive multiple of the stride %d", nextTrack, c.trackStride)
-	}
-	for i, lv := range levels {
-		if lv.count < 0 || lv.count >= c.cfg.DecimateFactor {
-			return fmt.Errorf("stream: checkpoint level %d decimation carry %d outside [0,%d)", i, lv.count, c.cfg.DecimateFactor)
-		}
-	}
-
-	c.total = total
-	c.segments = segments
-	c.seg = append(c.seg[:0], seg...)
-	copy(c.psdSum, psdSum)
-	copy(c.z, z)
-	for i := range c.levels {
-		c.levels[i].sum = levels[i].sum
-		c.levels[i].count = levels[i].count
-		c.levels[i].y = levels[i].y
-	}
-	c.nextTrack = nextTrack
-	c.periodS = periodS
-	c.confidence = confidence
-	c.edges = edges
-	return nil
-}
-
-// ---------------------------------------------------------------------
-// KeylogDetector.
-
-// Consumed returns the number of IQ samples pushed so far.
-func (d *KeylogDetector) Consumed() int { return d.total }
-
-// EncodeState serializes the detector's carried state: the partial STFT
-// frame, the current block's magnitude rows, the accumulated band
-// trace, and the spike tracker's center bin.
-func (d *KeylogDetector) EncodeState() []byte {
-	var e ckptEnc
-	if d.degenerate {
-		e.u64(1)
-		e.i64(d.total)
-		return sealCheckpoint(ckptKindKeylog, e.b)
-	}
-	e.u64(0)
-	e.i64(d.total)
-	e.i64(d.frames)
-	e.i64(d.blocks)
-	e.i64(d.center)
-	e.c128s(d.frame)
-	e.u64(uint64(len(d.rows)))
-	for _, row := range d.rows {
-		for _, v := range row {
-			e.f64(v)
-		}
-	}
-	e.f64s(d.band)
-	return sealCheckpoint(ckptKindKeylog, e.b)
-}
-
-// RestoreState loads a checkpoint produced by EncodeState into a fresh
-// detector constructed with the same config and tuning.
-func (d *KeylogDetector) RestoreState(data []byte) error {
-	if d.finalized {
-		return fmt.Errorf("stream: RestoreState after Finalize")
-	}
-	if d.total != 0 {
-		return fmt.Errorf("stream: RestoreState requires a freshly constructed detector (this one has consumed %d samples)", d.total)
-	}
-	payload, err := openCheckpoint(ckptKindKeylog, data)
-	if err != nil {
-		return err
-	}
-	dec := &ckptDec{b: payload}
-	degenerate := dec.u64()
-	if dec.err == nil && degenerate > 1 {
-		return fmt.Errorf("stream: checkpoint degenerate flag %d is not 0 or 1", degenerate)
-	}
-	if degenerate == 1 {
-		total := dec.i64()
-		if err := dec.finish(); err != nil {
-			return err
-		}
-		if !d.degenerate {
-			return fmt.Errorf("stream: degenerate checkpoint for a detector with resolvable geometry")
-		}
-		if total < 0 {
-			return fmt.Errorf("stream: checkpoint has negative sample count %d", total)
-		}
-		d.total = total
-		return nil
-	}
-	if d.degenerate {
-		return fmt.Errorf("stream: non-degenerate checkpoint for a detector whose geometry does not resolve")
-	}
-	total := dec.i64()
-	frames := dec.i64()
-	blocks := dec.i64()
-	center := dec.i64()
-	frame := dec.c128s()
-	nRows := dec.sliceLen(8 * d.g.FFTSize)
-	if dec.err == nil && nRows >= d.g.BlockFrames {
-		return fmt.Errorf("stream: checkpoint holds %d block rows, a full block is %d (it would have been flushed)", nRows, d.g.BlockFrames)
-	}
-	rows := make([][]float64, 0, nRows)
-	for r := 0; r < nRows && dec.err == nil; r++ {
-		row := make([]float64, d.g.FFTSize)
-		for i := range row {
-			row[i] = dec.f64()
-		}
-		rows = append(rows, row)
-	}
-	band := dec.f64s()
-	if err := dec.finish(); err != nil {
-		return err
-	}
-
-	switch {
-	case total < 0 || frames < 0 || blocks < 0:
-		return fmt.Errorf("stream: checkpoint has negative counters (total %d, frames %d, blocks %d)", total, frames, blocks)
-	case len(frame) >= d.g.FFTSize:
-		return fmt.Errorf("stream: checkpoint partial frame holds %d samples, frame size is %d", len(frame), d.g.FFTSize)
-	case center < 0 || center >= d.g.FFTSize:
-		return fmt.Errorf("stream: checkpoint center bin %d outside [0,%d)", center, d.g.FFTSize)
-	}
-
-	d.total = total
-	d.frames = frames
-	d.blocks = blocks
-	d.center = center
-	d.frame = append(d.frame[:0], frame...)
-	d.rows = d.rows[:0]
-	for r, row := range rows {
-		dst := d.rowsBak[r*d.g.FFTSize : (r+1)*d.g.FFTSize]
-		copy(dst, row)
-		d.rows = append(d.rows, dst)
-	}
-	d.band = band
-	return nil
-}
-
-// ---------------------------------------------------------------------
-// Checkpoint files.
 
 // CheckpointPath returns the file a stream's checkpoints live at inside
 // a checkpoint directory. Stream names are used verbatim as file stems,

@@ -6,6 +6,7 @@ import (
 
 	"pmuleak/internal/core"
 	"pmuleak/internal/covert"
+	"pmuleak/internal/dsp"
 	"pmuleak/internal/faults"
 	"pmuleak/internal/keylog"
 	"pmuleak/internal/sdr"
@@ -50,44 +51,84 @@ func prepCovert(t *testing.T, withFaults bool, parallelism int) *core.PreparedCo
 	return p
 }
 
-// TestCovertStreamEqualsBatch is the tentpole differential: for every
-// chunk size in the sweep — hop-aligned or not — with faults off and
-// on, at receiver parallelism 1 and 4, the streaming receiver's
-// finalized Demod equals the batch Demodulate output field for field
-// (decoded bits, BER inputs, traces, quality report).
+// TestCovertStreamEqualsBatch is the chunk-invariance sweep of the
+// covert receiver: for every chunk size in the sweep — hop-aligned or
+// not — the receiver fed in chunks finalizes to a Demod equal field for
+// field to covert.Demodulate, which pushes the whole capture as one
+// chunk. Faults off and on, receiver parallelism 1 and 4 (which now
+// fans out inside Push), and the blind configs, whose offsets come from
+// Demodulate's pre-pass (the one-chunk Demod's Offsets), with and
+// without carrier retries.
 func TestCovertStreamEqualsBatch(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
 		withFaults  bool
 		parallelism int
+		blind       bool
 	}{
-		{"clean_jobs1", false, 1},
-		{"clean_jobs4", false, 4},
-		{"faulted_jobs1", true, 1},
-		{"faulted_jobs4", true, 4},
+		{"clean_jobs1", false, 1, false},
+		{"clean_jobs4", false, 4, false},
+		{"faulted_jobs1", true, 1, false},
+		{"faulted_jobs4", true, 4, false},
+		{"blind_jobs4", false, 4, true},
+		{"blind_retries_jobs1", true, 1, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := prepCovert(t, tc.withFaults, tc.parallelism)
 			defer p.Cap.Recycle()
-			batch := covert.Demodulate(p.Cap, p.RXCfg)
-			if !batch.CarrierFound {
-				t.Fatalf("batch demod found no carrier (z=%.2f); the differential would be vacuous", batch.Quality.CarrierZ)
+			cfg := p.RXCfg
+			if tc.blind {
+				cfg.ExpectedF0 = 0
+			}
+			if tc.blind && tc.withFaults {
+				// Gate the first pass just above its own z-score so the
+				// blind retry loop must widen the search.
+				first := cfg
+				first.CarrierRetries = 0
+				cfg.CarrierMinZ = covert.Demodulate(p.Cap, first).Quality.CarrierZ * 1.1
+			}
+			whole := covert.Demodulate(p.Cap, cfg)
+			if !whole.CarrierFound {
+				t.Fatalf("one-chunk demod found no carrier (z=%.2f); the sweep would be vacuous", whole.Quality.CarrierZ)
+			}
+			if tc.blind && tc.withFaults && whole.Quality.Retries == 0 {
+				t.Fatal("blind retry case consumed no retries")
+			}
+			var offsets []float64
+			if tc.blind {
+				offsets = whole.Offsets
 			}
 			for _, size := range chunkSweep(len(p.Cap.IQ)) {
-				rx, err := stream.NewCovertReceiver(p.RXCfg, p.Cap.SampleRate, p.Cap.CenterFreqHz)
+				rx, err := covert.NewReceiver(cfg, p.Cap.SampleRate, p.Cap.CenterFreqHz, offsets)
 				if err != nil {
-					t.Fatalf("NewCovertReceiver: %v", err)
+					t.Fatalf("NewReceiver: %v", err)
 				}
 				for _, chunk := range stream.Chunks(p.Cap.IQ, size) {
 					rx.Push(chunk)
 				}
 				got := rx.Finalize()
-				if !reflect.DeepEqual(got, batch) {
-					t.Errorf("chunk size %d: streaming demod diverged from batch\nstream bits: %v\nbatch bits:  %v\nstream: %+v\nbatch:  %+v",
-						size, got.Bits, batch.Bits, abbreviateDemod(got), abbreviateDemod(batch))
+				if !reflect.DeepEqual(got, whole) {
+					t.Errorf("chunk size %d: chunked demod diverged from one chunk\nchunked bits: %v\nwhole bits:   %v\nchunked: %+v\nwhole:   %+v",
+						size, got.Bits, whole.Bits, abbreviateDemod(got), abbreviateDemod(whole))
 				}
 			}
 		})
+	}
+}
+
+// TestCovertReceiverNeedsOffsets: with neither an in-band ExpectedF0
+// harmonic nor pre-pass offsets the receiver has nothing to track.
+func TestCovertReceiverNeedsOffsets(t *testing.T) {
+	cfg := covert.DefaultRXConfig()
+	if _, err := covert.NewReceiver(cfg, 2.4e6, 540e3, nil); err == nil {
+		t.Fatal("NewReceiver accepted a blind config without offsets")
+	}
+	if _, err := covert.NewReceiver(cfg, 2.4e6, 540e3, []float64{-180e3}); err != nil {
+		t.Fatalf("NewReceiver rejected a blind config with offsets: %v", err)
+	}
+	cfg.ExpectedF0 = 360e3
+	if _, err := stream.NewCovertReceiver(cfg, 2.4e6, 540e3); err != nil {
+		t.Fatalf("NewCovertReceiver rejected a hinted config: %v", err)
 	}
 }
 
@@ -99,8 +140,8 @@ func abbreviateDemod(d *covert.Demod) covert.Demod {
 }
 
 // TestCovertStreamShortCapture pins the degenerate gate: a capture
-// shorter than 4 FFT windows decodes to the same empty Demod on both
-// paths, for chunk sizes below, at, and above the capture length.
+// shorter than 4 FFT windows decodes to the same empty Demod in one
+// chunk and in chunks below, at, and above the capture length.
 func TestCovertStreamShortCapture(t *testing.T) {
 	cfg := covert.DefaultRXConfig()
 	cfg.ExpectedF0 = 360e3
@@ -109,8 +150,8 @@ func TestCovertStreamShortCapture(t *testing.T) {
 		SampleRate:   2.4e6,
 		CenterFreqHz: 540e3,
 	}
-	batch := covert.Demodulate(cap, cfg)
-	if batch.CarrierFound {
+	whole := covert.Demodulate(cap, cfg)
+	if whole.CarrierFound {
 		t.Fatal("short capture unexpectedly found a carrier")
 	}
 	for _, size := range []int{1, 100, len(cap.IQ), len(cap.IQ) + 1} {
@@ -121,24 +162,9 @@ func TestCovertStreamShortCapture(t *testing.T) {
 		for _, chunk := range stream.Chunks(cap.IQ, size) {
 			rx.Push(chunk)
 		}
-		if got := rx.Finalize(); !reflect.DeepEqual(got, batch) {
-			t.Errorf("chunk %d: short-capture demod %+v, want %+v", size, got, batch)
+		if got := rx.Finalize(); !reflect.DeepEqual(got, whole) {
+			t.Errorf("chunk %d: short-capture demod %+v, want %+v", size, got, whole)
 		}
-	}
-}
-
-// TestCovertStreamRequiresHint pins the streaming contract: without an
-// ExpectedF0 hint the batch path falls back to blind PSD peak selection
-// (a function of the finished capture), which the streaming receiver
-// must refuse up front rather than silently diverge.
-func TestCovertStreamRequiresHint(t *testing.T) {
-	cfg := covert.DefaultRXConfig()
-	if _, err := stream.NewCovertReceiver(cfg, 2.4e6, 540e3); err == nil {
-		t.Fatal("NewCovertReceiver accepted a config without an ExpectedF0 hint")
-	}
-	cfg.ExpectedF0 = 360e3
-	if _, err := stream.NewCovertReceiver(cfg, 2.4e6, 540e3); err != nil {
-		t.Fatalf("NewCovertReceiver rejected a hinted config: %v", err)
 	}
 }
 
@@ -157,32 +183,40 @@ func prepKeylog(t *testing.T, withFaults bool, parallelism int) *core.PreparedKe
 	return p
 }
 
-// TestKeylogStreamEqualsBatch: the streaming detector's finalized
-// Detection equals keylog.Detect over the same capture for the full
-// chunk sweep, faults off and on, parallelism 1 and 4. With faults on,
-// the injected block drops delete samples before chunking, so the
-// splice seams land mid-chunk for large sizes and exactly on chunk
-// boundaries for size 1.
+// TestKeylogStreamEqualsBatch is the detector's chunk-invariance
+// sweep: fed in chunks, it finalizes to a Detection equal to
+// keylog.Detect (one chunk) over the same capture, faults off and on,
+// parallelism 1 and 4. With faults on, the injected block drops delete
+// samples before chunking, so the splice seams land mid-chunk for large
+// sizes and exactly on chunk boundaries for size 1. The blind and
+// TrackBlock 0 configs hold every row until Finalize and are swept too.
 func TestKeylogStreamEqualsBatch(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
 		withFaults  bool
 		parallelism int
+		tweak       func(*keylog.DetectorConfig)
 	}{
-		{"clean_jobs1", false, 1},
-		{"clean_jobs4", false, 4},
-		{"faulted_jobs1", true, 1},
-		{"faulted_jobs4", true, 4},
+		{"clean_jobs1", false, 1, nil},
+		{"clean_jobs4", false, 4, nil},
+		{"faulted_jobs1", true, 1, nil},
+		{"faulted_jobs4", true, 4, nil},
+		{"blind_jobs4", false, 4, func(c *keylog.DetectorConfig) { c.ExpectedF0 = 0 }},
+		{"trackblock0_jobs1", true, 1, func(c *keylog.DetectorConfig) { c.TrackBlock = 0 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := prepKeylog(t, tc.withFaults, tc.parallelism)
 			defer p.Cap.Recycle()
-			batch := keylog.Detect(p.Cap, p.DetCfg)
-			if len(batch.Keystrokes) == 0 {
-				t.Fatal("batch detector found no keystrokes; the differential would be vacuous")
+			cfg := p.DetCfg
+			if tc.tweak != nil {
+				tc.tweak(&cfg)
+			}
+			whole := keylog.Detect(p.Cap, cfg)
+			if len(whole.Keystrokes) == 0 {
+				t.Fatal("one-chunk detector found no keystrokes; the sweep would be vacuous")
 			}
 			for _, size := range chunkSweep(len(p.Cap.IQ)) {
-				det, err := stream.NewKeylogDetector(p.DetCfg, p.Cap.SampleRate, p.Cap.CenterFreqHz)
+				det, err := stream.NewKeylogDetector(cfg, p.Cap.SampleRate, p.Cap.CenterFreqHz)
 				if err != nil {
 					t.Fatalf("NewKeylogDetector: %v", err)
 				}
@@ -190,9 +224,9 @@ func TestKeylogStreamEqualsBatch(t *testing.T) {
 					det.Push(chunk)
 				}
 				got := det.Finalize()
-				if !reflect.DeepEqual(got, batch) {
-					t.Errorf("chunk size %d: streaming detection diverged from batch\nstream: %d keystrokes, thr %v\nbatch:  %d keystrokes, thr %v",
-						size, len(got.Keystrokes), got.Threshold, len(batch.Keystrokes), batch.Threshold)
+				if !reflect.DeepEqual(got, whole) {
+					t.Errorf("chunk size %d: chunked detection diverged from one chunk\nchunked: %d keystrokes, thr %v\nwhole:   %d keystrokes, thr %v",
+						size, len(got.Keystrokes), got.Threshold, len(whole.Keystrokes), whole.Threshold)
 				}
 			}
 		})
@@ -200,21 +234,18 @@ func TestKeylogStreamEqualsBatch(t *testing.T) {
 }
 
 // TestKeylogStreamShortCapture: a capture shorter than one STFT frame
-// detects nothing on both paths.
+// detects nothing, in one chunk or in many.
 func TestKeylogStreamShortCapture(t *testing.T) {
 	cfg := keylog.DefaultDetectorConfig()
 	cfg.ExpectedF0 = 360e3
-	g, ok := keylog.PlanGeometry(cfg, 240e3)
-	if !ok {
-		t.Fatal("geometry unexpectedly degenerate")
-	}
+	fftSize := dsp.NextPowerOfTwo(int(cfg.Window.Seconds() * 240e3))
 	cap := &sdr.Capture{
-		IQ:           make([]complex128, g.FFTSize-1),
+		IQ:           make([]complex128, fftSize-1),
 		SampleRate:   240e3,
 		CenterFreqHz: 300e3,
 	}
-	batch := keylog.Detect(cap, cfg)
-	for _, size := range []int{1, g.FFTSize / 3, len(cap.IQ) + 1} {
+	whole := keylog.Detect(cap, cfg)
+	for _, size := range []int{1, fftSize / 3, len(cap.IQ) + 1} {
 		det, err := stream.NewKeylogDetector(cfg, cap.SampleRate, cap.CenterFreqHz)
 		if err != nil {
 			t.Fatalf("NewKeylogDetector: %v", err)
@@ -222,62 +253,8 @@ func TestKeylogStreamShortCapture(t *testing.T) {
 		for _, chunk := range stream.Chunks(cap.IQ, size) {
 			det.Push(chunk)
 		}
-		if got := det.Finalize(); !reflect.DeepEqual(got, batch) {
-			t.Errorf("chunk %d: short-capture detection %+v, want %+v", size, got, batch)
-		}
-	}
-}
-
-// TestKeylogStreamContract pins the two streaming prerequisites.
-func TestKeylogStreamContract(t *testing.T) {
-	cfg := keylog.DefaultDetectorConfig()
-	if _, err := stream.NewKeylogDetector(cfg, 240e3, 300e3); err == nil {
-		t.Fatal("NewKeylogDetector accepted a config without ExpectedF0")
-	}
-	cfg.ExpectedF0 = 360e3
-	cfg.TrackBlock = 0
-	if _, err := stream.NewKeylogDetector(cfg, 240e3, 300e3); err == nil {
-		t.Fatal("NewKeylogDetector accepted TrackBlock == 0")
-	}
-	cfg.TrackBlock = keylog.DefaultDetectorConfig().TrackBlock
-	if _, err := stream.NewKeylogDetector(cfg, 240e3, 300e3); err != nil {
-		t.Fatalf("NewKeylogDetector rejected a valid streaming config: %v", err)
-	}
-}
-
-// TestRunStreamMatchesRunBatch closes the loop at the result level: the
-// core entry points produce identical scored results — decoded bits and
-// BER for covert, keystroke precision/recall/F1 for keylog — through
-// the batch and streaming receivers, at -jobs 1 and 4.
-func TestRunStreamMatchesRunBatch(t *testing.T) {
-	for _, jobs := range []int{1, 4} {
-		tb := core.NewTestbed(core.WithSeed(3))
-		ccfg := core.CovertConfig{PayloadBits: 64, Parallelism: jobs}
-		batchC := tb.RunCovert(ccfg)
-		streamC, err := tb.RunCovertStream(ccfg, 10000)
-		if err != nil {
-			t.Fatalf("RunCovertStream: %v", err)
-		}
-		if !reflect.DeepEqual(batchC.Measurement, streamC.Measurement) {
-			t.Errorf("jobs %d: covert measurement diverged: batch %+v stream %+v",
-				jobs, batchC.Measurement, streamC.Measurement)
-		}
-		if !reflect.DeepEqual(batchC.Demod.Bits, streamC.Demod.Bits) {
-			t.Errorf("jobs %d: covert bits diverged", jobs)
-		}
-
-		kcfg := core.KeylogConfig{Words: 3, Parallelism: jobs}
-		batchK := tb.RunKeylog(kcfg)
-		streamK, err := tb.RunKeylogStream(kcfg, 7777)
-		if err != nil {
-			t.Fatalf("RunKeylogStream: %v", err)
-		}
-		if !reflect.DeepEqual(batchK.Char, streamK.Char) {
-			t.Errorf("jobs %d: keystroke scores diverged: batch %+v stream %+v",
-				jobs, batchK.Char, streamK.Char)
-		}
-		if !reflect.DeepEqual(batchK.Detection, streamK.Detection) {
-			t.Errorf("jobs %d: detections diverged", jobs)
+		if got := det.Finalize(); !reflect.DeepEqual(got, whole) {
+			t.Errorf("chunk %d: short-capture detection %+v, want %+v", size, got, whole)
 		}
 	}
 }

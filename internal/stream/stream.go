@@ -1,37 +1,21 @@
-// Package stream turns the repo's batch receive pipelines into
-// incremental, bounded-memory stream processors — the shape of the
-// long-lived attack monitor the paper's threat model implies (§V runs
-// continuous near-field monitoring; an always-on receiver cannot hold
-// the whole capture).
+// Package stream is the transport for long-lived capture streams — the
+// shape of the always-on attack monitor the paper's threat model
+// implies (§V runs continuous near-field monitoring; an always-on
+// receiver cannot hold the whole capture).
 //
-// Two processors mirror the two batch pipelines:
-//
-//   - CovertReceiver streams §IV-B: an online Welch PSD accumulator, a
-//     resonator bank carried sample-to-sample across chunk boundaries
-//     (one decimated acquisition trace per carrier-retry widen level),
-//     and a running carrier/period tracker. Finalize hands the compact
-//     decimated trace to covert.DemodulateTrace — the exact batch back
-//     half — so the decoded bits are byte-identical to
-//     covert.Demodulate over the concatenated samples.
-//
-//   - KeylogDetector streams §V-C: an online non-overlapping STFT with
-//     the partial frame carried across chunk boundaries, per-block
-//     spike re-acquisition through keylog.ScanBlock as each TrackBlock
-//     fills, and keylog.FinishDetection over the accumulated band
-//     trace at Finalize — byte-identical to keylog.Detect.
-//
-// The memory contract is the point: a CovertReceiver holds O(FFTSize +
-// n/DecimateFactor) floats instead of the 16 n bytes of raw IQ, and a
-// KeylogDetector holds O(TrackBlock·rate + n/fftSize). Both processors
-// consume chunks of any size — including size 1, chunks larger than
-// the whole capture, and sizes not divisible by the STFT hop — and the
-// differential tests pin bit-equality against the batch pipelines for
-// all of them.
+// The signal processing lives in the receivers themselves:
+// covert.Receiver (§IV-B) and keylog.Detector (§V-C) consume IQ chunks
+// of any size and finalize to output that depends only on the
+// concatenated samples — covert.Demodulate and keylog.Detect are one
+// chunk through the same code. This package drives them: CovertReceiver
+// and KeylogDetector are those receivers under the names the daemon
+// uses.
 //
 // Ring is the chunked ring-buffer source that feeds a processor from
 // another goroutine with bounded buffering and blocking backpressure;
 // Daemon multiplexes many Ring→processor streams over a fixed worker
-// pool (see daemon.go).
+// pool (see daemon.go) with supervision, shedding, and checkpoint files
+// (supervise.go, checkpoint.go).
 package stream
 
 import (
