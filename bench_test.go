@@ -362,7 +362,7 @@ func BenchmarkStageResonatorBank(b *testing.B) {
 	b.SetBytes(int64(len(x) * 16))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dsp.NewResonators([]float64{-0.2, 0.2}, 0.999).Track(dsp.NewEngine(1), x, mag)
+		dsp.NewResonators([]float64{-0.2, 0.2}, 0.999).Track(x, mag)
 	}
 }
 

@@ -193,11 +193,7 @@ func (r *Receiver) addSegments(x []complex128) int {
 // running decimation — the identical floating-point order as summing
 // the bank sample by sample.
 func (r *Receiver) acquire(x []complex128) {
-	eng := r.eng
-	if len(x) < acquireBlock/4 {
-		eng = dsp.NewEngine(1) // too short to repay fanning out
-	}
-	r.bank.Track(eng, x, r.mag)
+	r.bank.Track(x, r.mag)
 	sum := r.sum[:len(x)]
 	li := 0
 	for i, m := range r.mag {

@@ -182,8 +182,8 @@ func (e Engine) STFT(x []complex128, fftSize, hop int, window []float64, sampleR
 // STFTInto writes the magnitude rows of the first len(dst)/len(window)
 // frames of x — frame f starts at sample f*hop — into dst, one row
 // after another; x must hold every one of those frames in full. It is
-// the allocation-free core of STFT for callers that own their row
-// storage, such as a detector fed one chunk at a time.
+// the core of STFT for callers that own their row storage, such as a
+// detector fed one chunk at a time.
 //
 // With the fused kernels each frame is gathered (window multiply +
 // bit-reversal permutation in one pass) straight into the paired

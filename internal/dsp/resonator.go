@@ -48,21 +48,17 @@ func NewResonators(offsets []float64, decay float64) *Resonators {
 }
 
 // Track advances every resonator over x and writes component i's
-// unscaled magnitude |z_i[n]| to mag[i][n]. Components are independent,
-// so eng spreads them across its workers; each component's recurrence
-// stays sequential, so mag is identical at every Parallelism. A worker
-// steps its components together sample by sample, which overlaps their
-// otherwise latency-bound recurrences.
-func (b *Resonators) Track(eng Engine, x []complex128, mag [][]float64) {
-	eng.Chunks(len(b.rot), func(lo, hi int) {
-		rot, z, out := b.rot[lo:hi], b.Z[lo:hi], mag[lo:hi]
-		for n, v := range x {
-			for i := range z {
-				z[i] = z[i]*rot[i] + v
-				out[i][n] = cmplx.Abs(z[i])
-			}
+// unscaled magnitude |z_i[n]| to mag[i][n]. The components step
+// together sample by sample, which overlaps their otherwise
+// latency-bound recurrences.
+func (b *Resonators) Track(x []complex128, mag [][]float64) {
+	for n, v := range x {
+		for i, rot := range b.rot {
+			z := b.Z[i]*rot + v
+			b.Z[i] = z
+			mag[i][n] = cmplx.Abs(z)
 		}
-	})
+	}
 }
 
 // ResonatorBandwidth returns the approximate -3 dB bandwidth (Hz) of a

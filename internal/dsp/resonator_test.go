@@ -24,7 +24,7 @@ func resonate(x []complex128, offsets []float64, decay float64) []float64 {
 	for i := range mag {
 		mag[i] = make([]float64, len(x))
 	}
-	b.Track(Engine{Parallelism: 1}, x, mag)
+	b.Track(x, mag)
 	out := make([]float64, len(x))
 	for n := range out {
 		var sum float64
@@ -36,46 +36,38 @@ func resonate(x []complex128, offsets []float64, decay float64) []float64 {
 	return out
 }
 
-// TestResonatorsPiecewiseAndParallel: the bank carries its state
-// between calls and spreads components over workers without changing a
-// bit — tracking in uneven pieces at any Parallelism equals one serial
-// call.
-func TestResonatorsPiecewiseAndParallel(t *testing.T) {
+// TestResonatorsPiecewise: the bank carries its state between calls, so
+// tracking in uneven pieces equals one call over the whole signal.
+func TestResonatorsPiecewise(t *testing.T) {
 	rng := xrand.New(41)
 	x := make([]complex128, 5000)
 	for i := range x {
 		x[i] = complex(rng.Normal(0, 1), rng.Normal(0, 1))
 	}
 	offsets := []float64{0.1, -0.2, 0.33}
-	want := NewResonators(offsets, 0.995)
-	wantMag := make([][]float64, len(offsets))
-	for i := range wantMag {
-		wantMag[i] = make([]float64, len(x))
-	}
-	want.Track(Engine{Parallelism: 1}, x, wantMag)
-	for _, p := range []int{1, 2, 4} {
-		b := NewResonators(offsets, 0.995)
+	newMag := func() [][]float64 {
 		mag := make([][]float64, len(offsets))
 		for i := range mag {
 			mag[i] = make([]float64, len(x))
 		}
-		for lo := 0; lo < len(x); {
-			hi := lo + 1 + lo%777
-			if hi > len(x) {
-				hi = len(x)
-			}
-			part := make([][]float64, len(offsets))
-			for i := range part {
-				part[i] = mag[i][lo:hi]
-			}
-			b.Track(Engine{Parallelism: p}, x[lo:hi], part)
-			lo = hi
+		return mag
+	}
+	want := newMag()
+	NewResonators(offsets, 0.995).Track(x, want)
+	b, got := NewResonators(offsets, 0.995), newMag()
+	for lo := 0; lo < len(x); {
+		hi := min(lo+1+lo%777, len(x))
+		part := make([][]float64, len(offsets))
+		for i := range part {
+			part[i] = got[i][lo:hi]
 		}
-		for i := range mag {
-			for n := range mag[i] {
-				if math.Float64bits(mag[i][n]) != math.Float64bits(wantMag[i][n]) {
-					t.Fatalf("parallelism %d: component %d sample %d = %v, want %v", p, i, n, mag[i][n], wantMag[i][n])
-				}
+		b.Track(x[lo:hi], part)
+		lo = hi
+	}
+	for i := range got {
+		for n := range got[i] {
+			if math.Float64bits(got[i][n]) != math.Float64bits(want[i][n]) {
+				t.Fatalf("component %d sample %d = %v, want %v", i, n, got[i][n], want[i][n])
 			}
 		}
 	}
