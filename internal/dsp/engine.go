@@ -427,16 +427,6 @@ func (e Engine) welchSum(sum []float64, segments, fftSize int, half bool, gather
 	if half {
 		bins = hop + 1
 	}
-	add := func(row []float64) {
-		for i, v := range row {
-			sum[i] += v
-		}
-		if half {
-			for i := 1; i < hop; i++ {
-				sum[fftSize-i] += row[i]
-			}
-		}
-	}
 	w := e.workers()
 	if w == 1 || segments == 1 {
 		// Serial: each segment's powers go straight into the sum.
@@ -468,19 +458,25 @@ func (e Engine) welchSum(sum []float64, segments, fftSize int, half bool, gather
 		}
 		e.each(nb, fftSize, func(buf []complex128, k int) {
 			gather(buf, (base+k)*hop)
-			power(flat[k*bins:(k+1)*bins], buf)
+			row := flat[k*bins : (k+1)*bins]
+			for i := range row {
+				re, im := real(buf[i]), imag(buf[i])
+				row[i] = re*re + im*im
+			}
 		})
+		// Ordered accumulation: segment k is always added after
+		// segment k-1, exactly as the serial loop does.
 		for k := 0; k < nb; k++ {
-			add(flat[k*bins : (k+1)*bins])
+			row := flat[k*bins : (k+1)*bins]
+			for i, v := range row {
+				sum[i] += v
+			}
+			if half {
+				for i := 1; i < hop; i++ {
+					sum[fftSize-i] += row[i]
+				}
+			}
 		}
-	}
-}
-
-// power writes |buf[i]|² to row[i] for every bin of row.
-func power(row []float64, buf []complex128) {
-	for i := range row {
-		re, im := real(buf[i]), imag(buf[i])
-		row[i] = re*re + im*im
 	}
 }
 

@@ -37,11 +37,9 @@ var (
 // (the initial band is the strongest non-DC bin of the whole capture's
 // mean spectrum).
 type Detector struct {
-	cfg          DetectorConfig
-	sampleRate   float64
-	centerFreqHz float64
-	eng          dsp.Engine
-	degenerate   bool // window rounds to zero samples at this rate
+	cfg        DetectorConfig
+	eng        dsp.Engine
+	degenerate bool // window rounds to zero samples at this rate
 
 	fftSize     int
 	frameDT     float64
@@ -68,12 +66,7 @@ func NewDetector(cfg DetectorConfig, sampleRate, centerFreqHz float64) (*Detecto
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	d := &Detector{
-		cfg:          cfg,
-		sampleRate:   sampleRate,
-		centerFreqHz: centerFreqHz,
-		eng:          dsp.NewEngine(cfg.Parallelism),
-	}
+	d := &Detector{cfg: cfg, eng: dsp.NewEngine(cfg.Parallelism)}
 	windowSamples := int(cfg.Window.Seconds() * sampleRate)
 	if windowSamples < 1 {
 		d.degenerate = true
